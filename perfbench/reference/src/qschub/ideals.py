@@ -1,0 +1,675 @@
+"""Bounded-degree torus-invariant prime ideals of a quantum Schubert cell.
+
+The ideal attached to a Weyl group element y below w is realised degreewise:
+for a sweep of dominant weights, the functionals orthogonal to the Demazure
+subspace U^- T_y v_lambda are pushed through the graded pairing map, and the
+resulting elements are accumulated into exact row-echelon slice bases indexed
+by the positive root-lattice degree (height at most the bound B) and closed
+under generator multiplication.  The sweep stops when two consecutive weights
+add nothing to any slice, but never before every fundamental weight has been
+tried (weights fixed by y contribute nothing); the saturation flag records
+whether the rule fired inside the weight budget.
+
+Slices are the only ideal representation: membership is row reduction, the
+Cauchon diagram is computed by the leading-part/contraction recursion, and
+the slice-inclusion poset, normality exponents, and graded-growth fits all
+read the same data.
+"""
+
+from fractions import Fraction
+
+from .qscalar import ZERO, ONE, qpow
+from .linalg import Echelon, nullspace
+from .pbw import EngineError
+from .modules import build_module, demazure_echelon, DualFunctional, root_coords
+from .subwords import lp_index_set
+
+__all__ = ["IdealLab", "UnsaturatedError", "BoundError"]
+
+
+class UnsaturatedError(EngineError):
+    """The weight sweep ended before the slices stopped growing."""
+
+
+class BoundError(EngineError):
+    """A decision needed a degree beyond the configured bound."""
+
+
+class GradedIdealSlices:
+    def __init__(self, bound, saturated, lambdas_used, slices, dims_ambient):
+        self.bound = bound
+        self.saturated = saturated
+        self.lambdas_used = lambdas_used
+        self.slices = slices          # degree tuple -> Echelon (may be missing)
+        self.dims_ambient = dims_ambient
+
+    def dim(self, h):
+        ech = self.slices.get(tuple(h))
+        return len(ech) if ech is not None else 0
+
+    def echelon(self, h):
+        return self.slices.get(tuple(h))
+
+    def contains(self, h, vec):
+        ech = self.slices.get(tuple(h))
+        if ech is None:
+            return not vec
+        return ech.contains(vec)
+
+    def dims_json(self):
+        return {",".join(map(str, h)): len(e) for h, e in sorted(self.slices.items())
+                if len(e)}
+
+
+def default_weight_sweep(rank, budget):
+    """Dominant weights by total fundamental-weight coefficient, then lex:
+    fundamentals first, then sums of two, and so on, capped by the budget."""
+    out = []
+    total = 1
+    while len(out) < budget:
+        level = []
+
+        def walk(pos, left, coeffs):
+            if pos == rank:
+                if left == 0:
+                    level.append(tuple(coeffs))
+                return
+            for c in range(left, -1, -1):
+                coeffs.append(c)
+                walk(pos + 1, left - c, coeffs)
+                coeffs.pop()
+
+        walk(0, total, [])
+        out.extend(sorted(level, reverse=True))
+        total += 1
+    return out[:budget]
+
+
+class IdealLab:
+    def __init__(self, cell, bound, lambda_budget=12):
+        self.cell = cell
+        self.bound = bound
+        self.lambda_budget = lambda_budget
+        self.pres = cell.presentation()
+        self.datum = cell.datum
+        self.l = cell.l
+        self._slices = {}
+        self._degrees = None
+        self._phi_cache = {}
+
+    # -- ambient graded structure -------------------------------------------
+
+    def degrees(self):
+        """{degree h: list of PBW monomials} for all h of height <= bound."""
+        if self._degrees is None:
+            heights = [sum(b) for b in self.cell.betas]
+            out = {}
+
+            def walk(j, mono, ht):
+                if j == 0:
+                    h = tuple(sum(m * b for m, b in zip(mono, (be[t] for be in self.cell.betas)))
+                              for t in range(self.datum.rank))
+                    out.setdefault(h, []).append(tuple(mono))
+                    return
+                m = 0
+                while ht + m * heights[j - 1] <= self.bound:
+                    mono[j - 1] = m
+                    walk(j - 1, mono, ht + m * heights[j - 1])
+                    m += 1
+                mono[j - 1] = 0
+
+            walk(self.l, [0] * self.l, 0)
+            self._degrees = {h: sorted(monos) for h, monos in out.items()}
+        return self._degrees
+
+    def ambient_dim(self, h):
+        return len(self.degrees().get(tuple(h), ()))
+
+    # -- slice construction -----------------------------------------------------
+
+    def slices(self, y_letters):
+        key = tuple(y_letters)
+        hit = self._slices.get(key)
+        if hit is not None:
+            return hit
+        w = self.cell.word.element
+        y = self.datum.from_word(key)
+        if not self.datum.bruhat_leq(y, w):
+            raise EngineError(f"{y.render()} is not below {w.render()}")
+        degrees = self.degrees()
+        slices = {h: Echelon() for h in degrees}
+        used = []
+        streak = 0
+        saturated = False
+        for lam_fw in default_weight_sweep(self.datum.rank, self.lambda_budget):
+            grew = self._add_weight(slices, key, lam_fw)
+            if grew:
+                self._ideal_closure(slices)
+            used.append(lam_fw)
+            streak = 0 if grew else streak + 1
+            # a weight fixed by y contributes nothing, so the no-growth rule
+            # may only fire once every fundamental weight has been tried
+            if streak >= 2 and len(used) >= self.datum.rank + 2:
+                saturated = True
+                break
+        hit = GradedIdealSlices(self.bound, saturated, used, slices,
+                                {h: len(m) for h, m in degrees.items()})
+        self._slices[key] = hit
+        return hit
+
+    def _add_weight(self, slices, y_letters, lam_fw):
+        cell = self.cell
+        module = build_module(self.datum, lam_fw)
+        dem = demazure_echelon(module, y_letters)
+        dem_by_weight = {}
+        for row in dem.rows:
+            nu = module.wt_of[next(iter(row))]
+            dem_by_weight.setdefault(nu, []).append(row)
+        wl = cell.word.element.act_weight(module.lam)
+        grew = False
+        for h in slices:
+            mu = tuple(a + b for a, b in zip(wl, h))
+            if mu not in module.weights:
+                continue
+            idxs = module.weights[mu]
+            rows = [{i: r[i] for i in r if i in idxs}
+                    for r in dem_by_weight.get(mu, ())]
+            orth = nullspace(rows, idxs)
+            if not orth:
+                continue
+            vectors = self._phi_vectors(lam_fw, h)
+            for xi_row in orth:
+                xi = DualFunctional(module, xi_row)
+                el = cell.phi_from_dual(xi, vectors)
+                if el and slices[h].add(el):
+                    grew = True
+        return grew
+
+    def _ideal_closure(self, slices):
+        """Close the slices under left and right generator multiplication.
+
+        Sound because the graded pairing image already is the two-sided ideal,
+        so products of slice elements with generators stay inside it."""
+        pres = self.pres
+        order = sorted(slices, key=lambda h: (sum(h), h))
+        changed = True
+        while changed:
+            changed = False
+            for h in order:
+                rows = list(slices[h].rows)
+                if not rows:
+                    continue
+                for m in range(1, self.l + 1):
+                    hh = tuple(a + b for a, b in zip(h, self.cell.betas[m - 1]))
+                    target = slices.get(hh)
+                    if target is None:
+                        continue
+                    gen = pres.gen(m)
+                    for v in rows:
+                        if target.add(pres.mul(v, gen)):
+                            changed = True
+                        if target.add(pres.mul(gen, v)):
+                            changed = True
+        return slices
+
+    def _phi_vectors(self, lam_fw, h):
+        key = (tuple(lam_fw), tuple(h))
+        hit = self._phi_cache.get(key)
+        if hit is None:
+            hit = self.cell.phi_vectors(lam_fw, h)
+            self._phi_cache[key] = hit
+        return hit
+
+    # -- membership ---------------------------------------------------------------
+
+    def membership(self, element, slice_set):
+        if not element:
+            return True
+        h = tuple(-x for x in self.pres.degree(element))
+        if sum(h) > self.bound or tuple(h) not in self.degrees():
+            raise BoundError(f"degree {h} outside the computed bound {self.bound}")
+        return slice_set.contains(h, element)
+
+    # -- Cauchon diagram recursion ---------------------------------------------------
+
+    def cauchon_diagram(self, slice_set, require_saturated=True):
+        if require_saturated and not slice_set.saturated:
+            raise UnsaturatedError("slice construction did not saturate")
+        slices = {h: ech.copy() for h, ech in slice_set.slices.items()}
+        diagram = set()
+        for t in range(self.l, 0, -1):
+            beta = self.cell.betas[t - 1]
+            h_pivot = tuple(beta)
+            if sum(h_pivot) > self.bound:
+                raise BoundError("pivot degree outside bound")
+            pivot_mono = tuple(1 if i == t - 1 else 0 for i in range(self.l))
+            ech = slices.get(h_pivot)
+            pivot_in = ech is not None and ech.contains({pivot_mono: ONE})
+            if pivot_in:
+                diagram.add(t)
+                slices = self._contract(slices, t)
+            else:
+                slices = self._leading_part(slices, t)
+        return frozenset(diagram)
+
+    def _combo_elements(self, rows, coeffs_list):
+        out = []
+        for coeffs in coeffs_list:
+            el = {}
+            for i, c in coeffs.items():
+                for mono, v in rows[i].items():
+                    s = el.get(mono, ZERO) + c * v
+                    if s.is_zero():
+                        el.pop(mono, None)
+                    else:
+                        el[mono] = s
+            if el:
+                out.append(el)
+        return out
+
+    def _contract(self, slices, t):
+        """{v in J_h : v free of x_t}, an exact slice-level contraction."""
+        out = {}
+        for h, ech in slices.items():
+            rows = ech.rows
+            target = Echelon()
+            if rows:
+                bad_cols = sorted({m for r in rows for m in r if m[t - 1] != 0})
+                if not bad_cols:
+                    combos = [{i: ONE} for i in range(len(rows))]
+                else:
+                    constraint_rows = [{i: rows[i][c] for i in range(len(rows))
+                                        if c in rows[i]} for c in bad_cols]
+                    combos = nullspace(constraint_rows, list(range(len(rows))))
+                for el in self._combo_elements(rows, combos):
+                    assert all(m[t - 1] == 0 for m in el)
+                    target.add(el)
+            out[h] = target
+        return out
+
+    def _leading_part(self, slices, t):
+        """lt(J) with respect to x_t: top x_t-coefficients, degreewise."""
+        beta = self.cell.betas[t - 1]
+        out = {}
+        for hp in self.degrees():
+            target = Echelon()
+            m = 0
+            while True:
+                h = tuple(a + m * b for a, b in zip(hp, beta))
+                if sum(h) > self.bound:
+                    break
+                ech = slices.get(h)
+                if ech is not None and len(ech):
+                    rows = ech.rows
+                    # combinations with x_t-degree <= m, then the x_t^m layer
+                    bad_cols = sorted({mm for r in rows for mm in r if mm[t - 1] > m})
+                    if not bad_cols:
+                        combos = [{i: ONE} for i in range(len(rows))]
+                    else:
+                        constraint_rows = [{i: rows[i][c] for i in range(len(rows))
+                                            if c in rows[i]} for c in bad_cols]
+                        combos = nullspace(constraint_rows, list(range(len(rows))))
+                    for el in self._combo_elements(rows, combos):
+                        lead = {tuple(0 if i == t - 1 else n for i, n in enumerate(mm)): c
+                                for mm, c in el.items() if mm[t - 1] == m}
+                        if lead:
+                            target.add(lead)
+                m += 1
+            out[hp] = target
+        return out
+
+    # -- theorem drivers ----------------------------------------------------------
+
+    def verify_main2(self, y_letters):
+        """Cauchon diagram of the ideal against the left positive index set."""
+        y = self.datum.from_word(tuple(y_letters))
+        sl = self.slices(tuple(y_letters))
+        cd = self.cauchon_diagram(sl)
+        lp = lp_index_set(self.cell.word, y)
+        return {
+            "y": y.render(), "bound": self.bound,
+            "saturated": sl.saturated,
+            "lambdas_used": [list(l) for l in sl.lambdas_used],
+            "cd": sorted(cd), "lp": sorted(lp),
+            "slice_dims": sl.dims_json(),
+            "ok": bool(sl.saturated and cd == frozenset(lp)),
+        }
+
+    def verify_main2_all(self):
+        w = self.cell.word.element
+        out = {"type": self.datum.label, "word": list(self.cell.letters),
+               "bound": self.bound, "cases": [], "ok": True}
+        for y in sorted(self.datum.lower_interval(w),
+                        key=lambda u: (u.length, u.render())):
+            rep = self.verify_main2(y.reduced_word())
+            out["cases"].append(rep)
+            out["ok"] &= rep["ok"]
+        return out
+
+    def verify_main2_ind(self, y_letters, cmp_margin=2):
+        """One deleting step on the ideal: leading part when the top index is
+        outside LP(y), contraction when it is inside; compared slicewise
+        against the independently built ideal of the shorter cell."""
+        from .schubert import SchubertCell
+        y = self.datum.from_word(tuple(y_letters))
+        lp = lp_index_set(self.cell.word, y)
+        sub_cell = SchubertCell(self.datum, self.cell.letters[:-1])
+        sub_lab = IdealLab(sub_cell, self.bound, self.lambda_budget)
+        sl = self.slices(tuple(y_letters))
+        if not sl.saturated:
+            raise UnsaturatedError("long-algebra slices unsaturated")
+        beta_l = self.cell.betas[self.l - 1]
+        case = "contraction" if self.l in lp else "leading-part"
+        if self.l in lp:
+            transformed = self._contract({h: e.copy() for h, e in sl.slices.items()},
+                                         self.l)
+            target_y = (y * self.datum.simple(self.cell.letters[-1])).reduced_word()
+            ht_cap = self.bound
+        else:
+            transformed = self._leading_part({h: e.copy() for h, e in sl.slices.items()},
+                                             self.l)
+            target_y = tuple(y_letters)
+            ht_cap = self.bound - cmp_margin * sum(beta_l)
+        other = sub_lab.slices(target_y)
+        if not other.saturated:
+            raise UnsaturatedError("short-algebra slices unsaturated")
+        mismatches = []
+        compared = 0
+        for h, mono_list in sub_lab.degrees().items():
+            mine = transformed.get(h)
+            mine_rows = [self._strip_top(r) for r in (mine.rows if mine else [])]
+            theirs = other.echelon(h)
+            # soundness: computed transforms always land inside the target ideal
+            for r in mine_rows:
+                if not (theirs.contains(r) if theirs else not r):
+                    mismatches.append({"degree": list(h), "kind": "not-contained"})
+                    break
+            if sum(h) <= ht_cap:
+                compared += 1
+                dim_mine = len(mine) if mine else 0
+                dim_theirs = len(theirs) if theirs else 0
+                if dim_mine != dim_theirs:
+                    mismatches.append({"degree": list(h), "kind": "dimension",
+                                       "mine": dim_mine, "theirs": dim_theirs})
+        return {
+            "y": y.render(), "case": case, "compared_degrees": compared,
+            "height_cap": ht_cap, "mismatches": mismatches,
+            "ok": not mismatches,
+        }
+
+    def _strip_top(self, row):
+        # transformed rows are free of x_l; drop the slot for the short algebra
+        assert all(m[self.l - 1] == 0 for m in row)
+        return {m[:self.l - 1]: c for m, c in row.items()}
+
+    def verify_main2_ind_all(self):
+        out = {"type": self.datum.label, "word": list(self.cell.letters),
+               "bound": self.bound, "cases": [], "ok": True}
+        w = self.cell.word.element
+        for y in sorted(self.datum.lower_interval(w),
+                        key=lambda u: (u.length, u.render())):
+            rep = self.verify_main2_ind(y.reduced_word())
+            out["cases"].append(rep)
+            out["ok"] &= rep["ok"]
+        return out
+
+    # -- poset -----------------------------------------------------------------------
+
+    def ideal_poset(self):
+        """Slice-inclusion matrix over the interval, against Bruhat order."""
+        w = self.cell.word.element
+        ys = sorted(self.datum.lower_interval(w), key=lambda u: (u.length, u.render()))
+        labs = {y: self.slices(y.reduced_word()) for y in ys}
+        report = {"nodes": [y.render() for y in ys], "ok": True, "pairs": []}
+        for a in ys:
+            for b in ys:
+                inc = all(
+                    all(labs[b].echelon(h).contains(row) if labs[b].echelon(h) else not row
+                        for row in (labs[a].echelon(h).rows if labs[a].echelon(h) else []))
+                    for h in self.degrees())
+                bru = self.datum.bruhat_leq(a, b)
+                report["pairs"].append({"low": a.render(), "high": b.render(),
+                                        "included": inc, "bruhat": bru})
+                report["ok"] &= (inc == bru)
+        return report
+
+    # -- growth ------------------------------------------------------------------------
+
+    def quotient_cumulative_dims(self, y_letters):
+        sl = self.slices(tuple(y_letters))
+        degs = self.degrees()
+        by_ht = {}
+        for h, monos in degs.items():
+            by_ht.setdefault(sum(h), [0, 0])
+            by_ht[sum(h)][0] += len(monos)
+            by_ht[sum(h)][1] += sl.dim(h)
+        out = []
+        total = 0
+        for n in range(self.bound + 1):
+            amb, idl = by_ht.get(n, (0, 0))
+            total += amb - idl
+            out.append(total)
+        return out
+
+    def gk_exponent_fit(self, y_letters):
+        """The exact integer growth exponent of the cumulative dimension
+        sequence, fitted by iterated differences over the top half."""
+        c = self.quotient_cumulative_dims(y_letters)
+        for step in (1, 2):
+            for d in range(0, self.l + 1):
+                seq = list(c)
+                for _ in range(d + 1):
+                    seq = [b - a for a, b in zip(seq, seq[step:])]
+                tail = seq[len(seq) // 2:] if seq else []
+                if tail and all(x == 0 for x in tail):
+                    if d == 0:
+                        prev = list(c)
+                    else:
+                        prev = list(c)
+                        for _ in range(d):
+                            prev = [b - a for a, b in zip(prev, prev[step:])]
+                    if any(x != 0 for x in prev[len(prev) // 2:]):
+                        return d
+        raise EngineError("no exact integer growth fit on the computed range")
+
+    # -- normality ------------------------------------------------------------------------
+
+    def verify_normality(self, y_letters, lam_fw):
+        """b^lam_{y,w} x = q^{-<(w+y)lam, gamma>} x b modulo the ideal slices,
+        for every generator x of the cell algebra."""
+        cell, pres = self.cell, self.pres
+        datum = self.datum
+        sl = self.slices(tuple(y_letters))
+        b = cell.b_element(tuple(y_letters), lam_fw)
+        lam = root_coords(datum, lam_fw)
+        y = datum.from_word(tuple(y_letters))
+        w = cell.word.element
+        wy_lam = tuple(a + b2 for a, b2 in zip(w.act_weight(lam), y.act_weight(lam)))
+        checks = []
+        for m in range(1, self.l + 1):
+            exp = datum.pairing(wy_lam, cell.betas[m - 1])
+            assert Fraction(exp).denominator == 1
+            lhs = pres.mul(b, pres.gen(m))
+            rhs = pres.scale(pres.mul(pres.gen(m), b), qpow(int(exp)))
+            diff = pres.add(lhs, rhs, -ONE)
+            ok = self.membership(diff, sl)
+            checks.append({"generator": m, "exponent": int(exp), "ok": ok})
+        return {"y": datum.from_word(tuple(y_letters)).render(),
+                "lambda": list(lam_fw),
+                "checks": checks, "ok": all(c["ok"] for c in checks)}
+
+    def sample_complete_primeness(self, y_letters, per_degree=200, seed=0):
+        """Randomized check that no product of two nonmembers lies in the
+        ideal slices (complete primeness of the quotient, sampled)."""
+        import random
+        rng = random.Random(seed)
+        pres = self.pres
+        sl = self.slices(tuple(y_letters))
+        degs = [h for h in self.degrees() if 0 < sum(h)]
+        tried = 0
+        for h1 in degs:
+            for _ in range(max(1, per_degree // len(degs))):
+                h2 = rng.choice(degs)
+                if sum(h1) + sum(h2) > self.bound:
+                    continue
+                m1 = rng.choice(self.degrees()[h1])
+                m2 = rng.choice(self.degrees()[h2])
+                e1 = {m1: ONE + qpow(rng.randint(-2, 2))}
+                e2 = {m2: qpow(rng.randint(-1, 1))}
+                if self.membership(e1, sl) or self.membership(e2, sl):
+                    continue
+                tried += 1
+                if self.membership(pres.mul(e1, e2), sl):
+                    return {"ok": False, "pair": [sorted(e1), sorted(e2)]}
+        return {"ok": True, "sampled": tried}
+
+    def _monomial_exponents(self, mono):
+        """k with x^mono x_m = q^{k_m} x_m x^mono at the common monomial."""
+        pres = self.pres
+        out = []
+        for m in range(1, self.l + 1):
+            lead = tuple(n + (1 if i == m - 1 else 0) for i, n in enumerate(mono))
+            p = pres.mul({mono: ONE}, pres.gen(m))
+            q = pres.mul(pres.gen(m), {mono: ONE})
+            ratio = p[lead] / q[lead]
+            e = ratio.as_q_power()
+            assert e is not None
+            out.append(e)
+        return tuple(out)
+
+    def homog_normal_scan(self, y_letters, max_height=None):
+        """Scan quotient slices for homogeneous normal elements and check the
+        half-weight consistency equations for each one found."""
+        datum = self.datum
+        sl = self.slices(tuple(y_letters))
+        y = datum.from_word(tuple(y_letters))
+        max_height = max_height if max_height is not None else self.bound - 1
+        # generators that die in the ideal put no constraint on the exponents
+        active = [m for m in range(1, self.l + 1)
+                  if not self.membership(self.pres.gen(m), sl)]
+        found = []
+        degrees = [h for h in self.degrees() if 0 < sum(h) <= max_height]
+        for h in sorted(degrees):
+            monos = self.degrees()[h]
+            if sl.dim(h) == len(monos):
+                continue  # the slice is everything: zero in the quotient
+            cand_ks = sorted({self._monomial_exponents(mono) for mono in monos})
+            for ks in cand_ks:
+                sols = self._normal_solutions(h, monos, ks, sl)
+                for u in sols:
+                    if self.membership(u, sl):
+                        continue
+                    mu = self._solve_normal_weight(y, h, ks, active)
+                    found.append({"degree": list(h), "exponents": list(ks),
+                                  "active": active,
+                                  "consistent": mu is not None,
+                                  "mu": None if mu is None else [str(x) for x in mu]})
+        return {"y": y.render(), "found": found,
+                "ok": all(f["consistent"] for f in found)}
+
+    def _normal_solutions(self, h, monos, ks, sl):
+        pres = self.pres
+        cols = []
+        rowspace = []
+        for mono in monos:
+            residuals = {}
+            for m in range(1, self.l + 1):
+                hh = tuple(a + b for a, b in zip(h, self.cell.betas[m - 1]))
+                if sum(hh) > self.bound:
+                    continue
+                lhs = pres.mul({mono: ONE}, pres.gen(m))
+                rhs = pres.scale(pres.mul(pres.gen(m), {mono: ONE}), qpow(ks[m - 1]))
+                diff = pres.add(lhs, rhs, -ONE)
+                ech = sl.echelon(hh)
+                red = ech.reduce(diff) if ech else diff
+                for mm, c in red.items():
+                    residuals[(m, mm)] = c
+            cols.append(residuals)
+        # nullspace over the monomial coefficients
+        keys = sorted({k for col in cols for k in col})
+        rows = [{i: cols[i][k] for i in range(len(cols)) if k in cols[i]} for k in keys]
+        combos = nullspace(rows, list(range(len(cols))))
+        out = []
+        for combo in combos:
+            el = {}
+            for i, c in combo.items():
+                mono = monos[i]
+                s = el.get(mono, ZERO) + c
+                if s.is_zero():
+                    el.pop(mono, None)
+                else:
+                    el[mono] = s
+            if el:
+                out.append(el)
+        return out
+
+    def _solve_normal_weight(self, y, h, ks, active=None):
+        """mu (rational, in root coordinates) with
+
+              <(w+y)mu, beta_m> = k_m   for every active generator m,
+              (y - w)mu = h,
+
+        or None when the stacked system is inconsistent or mu is not in the
+        half-weight lattice.  Generators whose class vanishes in the quotient
+        are excluded: their commutation exponent carries no information."""
+        datum, cell = self.datum, self.cell
+        r = datum.rank
+        w = cell.word.element
+        active = active if active is not None else list(range(1, self.l + 1))
+        unit = [tuple(Fraction(int(t == i)) for t in range(r)) for i in range(r)]
+        plus = [tuple(a + b for a, b in zip(w.act_weight(u), y.act_weight(u)))
+                for u in unit]
+        minus = [tuple(a - b for a, b in zip(y.act_weight(u), w.act_weight(u)))
+                 for u in unit]
+        rows, rhs = [], []
+        for m in active:
+            rows.append([datum.pairing(plus[i], cell.betas[m - 1]) for i in range(r)])
+            rhs.append(Fraction(ks[m - 1]))
+        for t in range(r):
+            rows.append([minus[i][t] for i in range(r)])
+            rhs.append(Fraction(h[t]))
+        mu = _solve_rational(rows, rhs)
+        if mu is None:
+            return None
+        # mu must lie in half the weight lattice
+        for i in range(1, r + 1):
+            if (2 * datum.pair_coroot(mu, i)).denominator != 1:
+                return None
+        return mu
+
+
+def _solve_rational(rows, rhs):
+    """Solve an overdetermined rational system exactly; None if inconsistent."""
+    n = len(rows[0]) if rows else 0
+    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    for i in range(r, len(aug)):
+        if aug[i][n]:
+            return None
+    mu = [Fraction(0)] * n
+    for row_idx, c in enumerate(piv_cols):
+        mu[c] = aug[row_idx][n]
+    return tuple(mu)
+
+
+def lab_for(cell, bound, lambda_budget=12, cache={}):
+    key = (cell.datum.label, cell.letters, bound, lambda_budget)
+    hit = cache.get(key)
+    if hit is None:
+        hit = IdealLab(cell, bound, lambda_budget)
+        cache[key] = hit
+    return hit
