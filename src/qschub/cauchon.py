@@ -11,17 +11,20 @@ stage is certified: all generator pairs are checked against the stage relation
 table, degrees are checked, and at the top stage the series is cross-checked
 against the independent theta implementation.
 
-Elements are carried down the chain by re-expression: all stage-j Laurent
-monomials of the right degree inside an escalating support window are
-evaluated in stage-(j+1) coordinates and matched by an exact linear solve.
-A nonzero residual after escalation raises NotExpressibleError, never a
-truncation.  At stage 2 the coordinates are the Cauchon quantum affine space
-generators; the quantum-minor product formula is verified there with the
-scalar exponent equal to the size of the kappa-orbit.
+Elements are carried down the chain by a triangular peel.  Localisation at
+the pivot never raises the pivot exponent, so a stage-j monomial n evaluates
+in stage-(j+1) coordinates to y^n with coefficient 1 plus terms of strictly
+lower pivot exponent.  Clearing the residual's monomial of largest pivot
+exponent, one at a time, yields the unique expansion; the residual reaching
+zero certifies it.  A monomial whose negative depth (pivot slot and above)
+exceeds WINDOW_CAP raises NotExpressibleError, never a truncation.
+
+At stage 2 the coordinates are the Cauchon quantum affine space generators;
+the quantum-minor product formula is verified there with the scalar exponent
+equal to the size of the kappa-orbit.
 """
 
 from .qscalar import ONE, cauchon_factorial
-from .linalg import solve_columns
 from .pbw import Presentation, EngineError, NotExpressibleError
 from .subwords import kappa_orbit
 
@@ -56,7 +59,6 @@ class DeletingDerivations:
         self.orig = pres
         self.l = pres.l
         self._stage_pres = {}
-        self._max_ht = max(sum(-x for x in d) for d in pres.degs)
 
     def stage_presentation(self, j):
         """A^{(j)}: original tails strictly below j, pure twists from j up."""
@@ -139,46 +141,21 @@ class DeletingDerivations:
 
     # -- re-expression ------------------------------------------------------
 
-    def _candidate_exponents(self, j, h, window):
-        """Integer exponent vectors n with sum n_i beta_i = h; n_i >= 0 below
-        the pivot, down to -window at the pivot and above, total negative
-        depth <= window."""
-        betas = [tuple(-x for x in d) for d in self.orig.degs]
-        out = []
-        mono = [0] * self.l
-
-        def walk(i, remaining, neg_budget):
-            if i == 0:
-                if not any(remaining):
-                    out.append(tuple(mono))
-                return
-            beta = betas[i - 1]
-            htb = sum(beta)
-            lo = -neg_budget if i >= j else 0
-            hi = (sum(remaining) + neg_budget * self._max_ht) // htb
-            for n in range(lo, hi + 1):
-                rem = tuple(r - n * b for r, b in zip(remaining, beta))
-                nb = neg_budget + min(n, 0)
-                if nb < 0:
-                    continue
-                if all(x >= 0 for x in rem) or nb > 0:
-                    mono[i - 1] = n
-                    walk(i - 1, rem, nb)
-            mono[i - 1] = 0
-
-        walk(self.l, tuple(h), window)
-        return sorted(out)
-
     def reexpress(self, j, exprs, element):
-        """Rewrite an element of stage-(j+1) coordinates in stage-j ones."""
+        """Rewrite an element of stage-(j+1) coordinates in stage-j ones.
+
+        Triangular peel: the stage-j monomial n evaluates to y^n plus terms of
+        strictly lower pivot exponent, so subtracting residual[n] *
+        evaluate(n) for the residual's monomial n of largest (pivot exponent,
+        monomial) clears n for good.  A monomial met twice raises EngineError;
+        the residual reaching zero certifies the expansion.  A monomial with
+        a negative exponent below the pivot, or of negative depth (pivot slot
+        and above) over WINDOW_CAP, raises NotExpressibleError.
+        """
         if not element:
             return {}
         hi = self.stage_presentation(j + 1).with_pivot(j)
         deg = hi.degree(element)
-        h = tuple(-x for x in deg)
-        window = 0
-        if any(m[j - 1] < 0 for m in element):
-            window = max(-m[j - 1] for m in element)
         power_cache = {}
 
         def evaluate(mono):
@@ -200,22 +177,21 @@ class DeletingDerivations:
                 out = hi.mul(out, hit)
             return out
 
-        while window <= WINDOW_CAP:
-            candidates = self._candidate_exponents(j, h, window)
-            if candidates:
-                cols = [evaluate(mono) for mono in candidates]
-                sol, unique = solve_columns(cols, element)
-                if sol is not None:
-                    if not unique:
-                        # stage monomials form a basis; dependence means a bug
-                        raise EngineError(
-                            f"stage {j} candidate monomials are dependent")
-                    return {mono: c for mono, c in zip(candidates, sol)
-                            if not c.is_zero()}
-            window = window + 1 if window else 1
-        raise NotExpressibleError(
-            f"element of degree {deg} not expressible in stage {j} coordinates "
-            f"within window {WINDOW_CAP}")
+        out = {}
+        residual = dict(element)
+        while residual:
+            n = max(residual, key=lambda m: (m[j - 1], m))
+            if n in out:
+                raise EngineError(f"stage {j}: peeling monomial {n} did not clear it")
+            depth = -sum(x for x in n[j - 1:] if x < 0)
+            if depth > WINDOW_CAP or any(x < 0 for x in n[:j - 1]):
+                raise NotExpressibleError(
+                    f"element of degree {deg} not expressible in stage {j} coordinates: "
+                    f"monomial {n} is outside negative depth WINDOW_CAP = {WINDOW_CAP}")
+            c = residual[n]
+            out[n] = c
+            residual = hi.add(residual, evaluate(n), -c)
+        return out
 
     # -- full chain -----------------------------------------------------------
 

@@ -249,20 +249,23 @@ def cmd_campaign(args):
             _word(case["type"], letters)
             for check in case["checks"]:
                 cb = {"gk": gk_bound, "normality": normality_bound}.get(check, bound)
+                # an engine failure is recorded against its own check only
+                table = error = None
                 try:
                     rep, ok = _verify_one(check, case["type"], tuple(letters),
                                           cb, lambda_budget)
-                except UnsaturatedError as exc:
-                    rep, ok = {"error": str(exc)}, False
-                cell = schubert_cell(case["type"], tuple(letters))
+                    cell = schubert_cell(case["type"], tuple(letters))
+                    table = cell.presentation().table_text()
+                except EngineError as exc:
+                    error = str(exc)
+                    rep, ok = {"error": error}, False
                 results.append({
                     "type": case["type"], "word": list(letters), "check": check,
-                    "bound": cb, "ok": ok, "report": rep,
-                    "relation_table": cell.presentation().table_text(),
+                    "bound": cb, "ok": ok, "report": rep, "relation_table": table,
                 })
                 all_ok &= ok
                 print(f"{'PASS' if ok else 'FAIL'} {check} {case['type']} "
-                      f"{','.join(map(str, letters))}")
+                      f"{','.join(map(str, letters))}" + (f": {error}" if error else ""))
     results.sort(key=lambda r: (r["type"], r["word"], r["check"]))
     payload = {"ok": all_ok, "bound": bound, "results": results}
     if out_path:

@@ -664,12 +664,3 @@ def _solve_rational(rows, rhs):
     for row_idx, c in enumerate(piv_cols):
         mu[c] = aug[row_idx][n]
     return tuple(mu)
-
-
-def lab_for(cell, bound, lambda_budget=12, cache={}):
-    key = (cell.datum.label, cell.letters, bound, lambda_budget)
-    hit = cache.get(key)
-    if hit is None:
-        hit = IdealLab(cell, bound, lambda_budget)
-        cache[key] = hit
-    return hit

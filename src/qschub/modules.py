@@ -267,9 +267,6 @@ class WeightModule:
         assert e.denominator == 1
         return int(e)
 
-    def apply_K(self, i, vec, power=1):
-        return {idx: qpow(power * self.k_exponent(i, idx)) * c for idx, c in vec.items()}
-
     def apply(self, mat, vec):
         return mat_vec(mat, vec)
 

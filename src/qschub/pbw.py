@@ -166,12 +166,6 @@ class Presentation:
             raise EngineError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop() if degs else None
 
-    def homogeneous_components(self, e):
-        out = {}
-        for m, c in e.items():
-            out.setdefault(self.degree_of_mono(m), {})[m] = c
-        return out
-
     # -- sigma / delta --------------------------------------------------------
 
     def sigma_scalar(self, k, mono, power=1):
@@ -226,13 +220,6 @@ class Presentation:
             out = self.add(out, self.delta_mono(k, m), c)
         return out
 
-    def delta_power(self, k, e, m):
-        for _ in range(m):
-            if not e:
-                return {}
-            e = self.apply_delta(k, e)
-        return e
-
     def delta_nilpotency(self, k, e):
         """Least m with delta_k^m(e) = 0; errors past the configured cap."""
         m = 0
@@ -259,12 +246,6 @@ class Presentation:
                 prod = self._mul_mono(m1, m2)
                 if prod:
                     out = self.add(out, prod, c1 * c2)
-        return out
-
-    def mul_many(self, *elements):
-        out = self.one()
-        for e in elements:
-            out = self.mul(out, e)
         return out
 
     def _mul_mono(self, m1, m2):

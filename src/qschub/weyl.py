@@ -332,10 +332,6 @@ class ReducedWord:
         """w(i)_{<=j} as a group element."""
         return self.datum.from_word(self.letters[:j])
 
-    def parent_word(self):
-        """The word with the last letter dropped (for the one-step recursion)."""
-        return ReducedWord(self.datum, self.letters[:-1])
-
     def beta_sequence(self):
         """beta_j = (s_{a_1}...s_{a_{j-1}})(alpha_j), the inversion sequence."""
         if self._betas is None:

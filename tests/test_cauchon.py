@@ -131,6 +131,19 @@ def test_unreachable_element_raises():
         dd.reexpress(3, exprs, hi.gen(3, -7))
 
 
+def test_reexpress_rejects_bad_elements():
+    cell = schubert_cell("A2", (1, 2, 1))
+    dd = DeletingDerivations(cell.presentation())
+    exprs = dd.new_generators(3)
+    hi = dd.stage_presentation(4).with_pivot(3)
+    # x_1 and x_2 have different degrees, -beta_1 and -beta_2
+    with pytest.raises(EngineError):
+        dd.reexpress(3, exprs, hi.add(hi.gen(1), hi.gen(2)))
+    # x_1 lies below the pivot and is not invertible
+    with pytest.raises(NotExpressibleError):
+        dd.reexpress(3, exprs, hi.gen(1, -1))
+
+
 def test_final_relations_and_exponent_matrix():
     cell = schubert_cell("A2", (1, 2, 1))
     rep = verify_main1b(cell)
@@ -146,10 +159,12 @@ def test_final_relations_and_exponent_matrix():
 
 
 def test_main1b_across_families():
-    # types C and D and rank four, beyond the acceptance list
+    # types C and D and rank four, beyond the acceptance list, and the
+    # longest words of G2 and B3
     for label, word in [("C3", (1, 2, 3, 2)), ("C3", (3, 2, 3, 1)),
                         ("D4", (1, 2, 3, 4, 2)), ("A4", (2, 1, 3, 2, 4)),
-                        ("B2", (2, 1, 2)), ("G2", (1, 2, 1, 2)), ("G2", (2, 1, 2, 1))]:
+                        ("B2", (2, 1, 2)), ("G2", (1, 2, 1, 2)), ("G2", (2, 1, 2, 1)),
+                        ("G2", (1, 2, 1, 2, 1, 2)), ("B3", (1, 2, 3, 1, 2, 3, 1, 2, 3))]:
         rep = verify_main1b(schubert_cell(label, word))
         assert rep["ok"] and rep["anchor_ok"], (label, word)
 

@@ -130,3 +130,25 @@ def test_verify_report_out(tmp_path):
     data = json.loads(path.read_text())
     assert data["ok"] is True
     assert {c["y"]: c["cd"] for c in data["cases"]} == {"e": [], "s1": [1]}
+
+
+def test_campaign_isolates_an_engine_failure(tmp_path, capsys):
+    # bound 1 is too small for main2 on A2 1,2,1 (a BoundError); the other
+    # checks must still run and the report must still be written
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "bound = 1\n"
+        "case = A2 : 1,2,1 : main1b,main2\n"
+        "case = A2 : 2,1 : main1b\n")
+    out = tmp_path / "r.json"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["ok"] is False
+    by_check = {(tuple(r["word"]), r["check"]): r for r in data["results"]}
+    assert set(by_check) == {((1, 2, 1), "main1b"), ((1, 2, 1), "main2"),
+                             ((2, 1), "main1b")}
+    failed = by_check[((1, 2, 1), "main2")]
+    assert failed["ok"] is False and "bound" in failed["report"]["error"]
+    assert by_check[((1, 2, 1), "main1b")]["ok"]
+    assert by_check[((2, 1), "main1b")]["ok"]
+    assert "FAIL main2 A2 1,2,1: " in capsys.readouterr().out
