@@ -27,6 +27,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PRECONDITION = 2
 
+CHECKS = ("main1b", "main2", "main2-ind", "poset", "gk", "normality")
+_INT_KEYS = ("bound", "gk_bound", "normality_bound", "lambda_budget", "length_cap")
+
 
 class PreconditionError(Exception):
     pass
@@ -200,24 +203,58 @@ def cmd_verify(args):
 # -- campaign ----------------------------------------------------------------------
 
 def parse_config(text):
+    """Parse a campaign config, validating every line before any check runs.
+
+    Values stay text; a PreconditionError names the first bad line."""
     cfg = {"cases": []}
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise PreconditionError(f"bad config line: {raw!r}")
-        if key == "case":
-            parts = [p.strip() for p in value.split(":")]
-            if len(parts) != 3:
-                raise PreconditionError(f"case needs TYPE : word : checks, got {value!r}")
-            cfg["cases"].append({"type": parts[0], "word": parts[1],
-                                 "checks": [c.strip() for c in parts[2].split(",")]})
-        else:
+        try:
+            if not key or not value:
+                raise PreconditionError(f"bad config line: {raw.strip()!r}")
+            if key == "case":
+                cfg["cases"].append(_parse_case(value))
+                continue
+            if key in _INT_KEYS:
+                _check_int(key, value)
+            elif key != "out":
+                raise PreconditionError(f"unknown key {key!r}")
             cfg[key] = value
+        except PreconditionError as exc:
+            raise PreconditionError(f"line {n}: {exc}") from None
     return cfg
+
+
+def _check_int(what, text):
+    try:
+        int(text)
+    except ValueError:
+        raise PreconditionError(f"{what} needs an integer, got {text!r}") from None
+
+
+def _parse_case(value):
+    parts = [p.strip() for p in value.split(":")]
+    if len(parts) != 3:
+        raise PreconditionError(f"case needs TYPE : word : checks, got {value!r}")
+    label, word, checks = parts
+    checks = [c.strip() for c in checks.split(",")]
+    for check in checks:
+        if check not in CHECKS:
+            raise PreconditionError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
+    if word.startswith("all<="):
+        _check_int("all<=", word[5:])
+        _word(label, ())
+    else:
+        try:
+            letters = _parse_word(word)
+        except ValueError:
+            raise PreconditionError(f"word needs comma-separated letters, got {word!r}") from None
+        _word(label, letters)
+    return {"type": label, "word": word, "checks": checks}
 
 
 def _expand_words(label, word_field, length_cap):
@@ -246,7 +283,6 @@ def cmd_campaign(args):
     all_ok = True
     for case in cfg["cases"]:
         for letters in _expand_words(case["type"], case["word"], length_cap):
-            _word(case["type"], letters)
             for check in case["checks"]:
                 cb = {"gk": gk_bound, "normality": normality_bound}.get(check, bound)
                 # an engine failure is recorded against its own check only
@@ -315,8 +351,7 @@ def build_parser():
     p.set_defaults(func=cmd_dd_run)
 
     p = sub.add_parser("verify", help="run one verification")
-    p.add_argument("kind", choices=["main1b", "main2", "main2-ind", "poset",
-                                    "gk", "normality"])
+    p.add_argument("kind", choices=CHECKS)
     p.add_argument("--type", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--bound", type=int, default=6)

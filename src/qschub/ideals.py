@@ -282,7 +282,9 @@ class IdealLab:
                                         if c in rows[i]} for c in bad_cols]
                     combos = nullspace(constraint_rows, list(range(len(rows))))
                 for el in self._combo_elements(rows, combos):
-                    assert all(m[t - 1] == 0 for m in el)
+                    if any(m[t - 1] for m in el):
+                        raise EngineError(f"contraction of degree {h} by x_{t} "
+                                          f"left a monomial that involves x_{t}")
                     target.add(el)
             out[h] = target
         return out
@@ -399,7 +401,9 @@ class IdealLab:
 
     def _strip_top(self, row):
         # transformed rows are free of x_l; drop the slot for the short algebra
-        assert all(m[self.l - 1] == 0 for m in row)
+        if any(m[self.l - 1] for m in row):
+            raise EngineError(f"transformed row still involves x_{self.l}; "
+                              "it has no image in the shorter algebra")
         return {m[:self.l - 1]: c for m, c in row.items()}
 
     def verify_main2_ind_all(self):
@@ -488,7 +492,9 @@ class IdealLab:
         checks = []
         for m in range(1, self.l + 1):
             exp = datum.pairing(wy_lam, cell.betas[m - 1])
-            assert Fraction(exp).denominator == 1
+            if Fraction(exp).denominator != 1:
+                raise EngineError(f"<w lam + y lam, beta_{m}> = {exp} is not an integer "
+                                  f"for y = {y.render()}")
             lhs = pres.mul(b, pres.gen(m))
             rhs = pres.scale(pres.mul(pres.gen(m), b), qpow(int(exp)))
             diff = pres.add(lhs, rhs, -ONE)
@@ -533,7 +539,9 @@ class IdealLab:
             q = pres.mul(pres.gen(m), {mono: ONE})
             ratio = p[lead] / q[lead]
             e = ratio.as_q_power()
-            assert e is not None
+            if e is None:
+                raise EngineError(f"x^{mono} and x_{m} do not q-commute at their "
+                                  f"common leading monomial (ratio {ratio})")
             out.append(e)
         return tuple(out)
 

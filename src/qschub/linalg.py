@@ -6,7 +6,7 @@ columns are visited in sorted order, and among candidate rows the one whose
 pivot entry has the fewest terms wins (ties broken by insertion order).
 """
 
-from .qscalar import Scalar, ZERO, ONE
+from .qscalar import ZERO, ONE
 
 __all__ = [
     "vec_add", "vec_scale", "Echelon", "solve_columns", "nullspace",

@@ -17,8 +17,9 @@ module construction and serves as the dimension oracle.
 
 from fractions import Fraction
 
-from .qscalar import Scalar, ZERO, ONE, qpow, from_fraction, q_bracket, q_factorial
+from .qscalar import ZERO, ONE, qpow, from_fraction, q_bracket, q_factorial
 from .linalg import mat_vec, mat_mul, invert_matrix, solve_columns, Echelon
+from .pbw import EngineError
 
 __all__ = ["WeightModule", "build_module", "weight_multiplicities", "DualFunctional"]
 
@@ -84,7 +85,9 @@ def weight_multiplicities(datum, lam_fw):
             nu_rho = _vadd(nu, rho)
             denom = c_top - datum.pairing(nu_rho, nu_rho)
             m = rhs / denom
-            assert m.denominator == 1 and m > 0
+            if m.denominator != 1 or m <= 0:
+                raise EngineError(f"Freudenthal multiplicity {m} of weight {nu} "
+                                  "is not a positive integer")
             mult[nu] = int(m)
     return mult
 
@@ -183,7 +186,9 @@ class WeightModule:
                 val = val + self._pair_vectors(ea, eb)
                 if i == j:
                     n = datum.pair_coroot(upb, i)
-                    assert n.denominator == 1
+                    if n.denominator != 1:
+                        raise EngineError(f"<{upb}, alpha_{i}^vee> = {n} is not an integer "
+                                          "in the Shapovalov form")
                     bracket = q_bracket(int(n), datum.d[i - 1])
                     val = val + bracket * self._pair_global(ia, ib)
                 G[(sa, sb)] = val
@@ -222,7 +227,9 @@ class WeightModule:
         for s in range(n):
             target = {t: G[(s, t)] for t in range(n) if not G[(s, t)].is_zero()}
             sol, unique = solve_columns(cols, target)
-            assert sol is not None and unique
+            if sol is None or not unique:
+                raise EngineError(f"Gram row {s} of weight {self.lam} has no unique "
+                                  "expression in the chosen basis")
             coords.append({t: c for t, c in enumerate(sol)})
         return kept, coords
 
@@ -264,7 +271,9 @@ class WeightModule:
     def k_exponent(self, i, idx):
         """K_i acts on basis vector idx by q^e with e = <wt, alpha_i>."""
         e = self.datum.pairing(self.wt_of[idx], self._simple_roots()[i - 1])
-        assert e.denominator == 1
+        if e.denominator != 1:
+            raise EngineError(f"K_{i} eigenvalue exponent {e} at weight "
+                              f"{self.wt_of[idx]} is not an integer")
         return int(e)
 
     def apply(self, mat, vec):
@@ -292,7 +301,9 @@ class WeightModule:
         for col in range(self.dim):
             mu = self.wt_of[col]
             c0 = datum.pair_coroot(mu, i)
-            assert c0.denominator == 1
+            if c0.denominator != 1:
+                raise EngineError(f"braid operator T_{i}: <{mu}, alpha_{i}^vee> = {c0} "
+                                  "is not an integer")
             c0 = int(c0)
             vec = {col: ONE}
             out = {}

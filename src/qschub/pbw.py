@@ -19,7 +19,7 @@ pivot, may carry negative exponents; localisation at the pivot uses
 the second sum being finite because delta_p is locally nilpotent.
 """
 
-from .qscalar import Scalar, ONE, render_scalar, parse_scalar
+from .qscalar import ONE, render_scalar, parse_scalar
 
 __all__ = ["Presentation", "EngineError", "NotExpressibleError"]
 
@@ -439,7 +439,8 @@ class Presentation:
             if line.startswith("gens"):
                 l = int(line.split()[1])
                 continue
-            assert line.startswith("rel "), f"bad table line: {line}"
+            if not line.startswith("rel "):
+                raise EngineError(f"bad relation table line: {line}")
             head, _, rhs = line[4:].partition(":")
             k, j = (int(t) for t in head.split())
             lam_text, _, tail_text = rhs.partition("|")

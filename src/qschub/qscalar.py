@@ -1,17 +1,25 @@
 """Exact arithmetic in the field Q(q) of rational functions in q over the rationals.
 
-A Scalar is a fraction num/den of polynomials in q with Fraction coefficients,
+A Scalar is a fraction num/den of polynomials in q with rational coefficients,
 kept in a canonical form:
 
-  * num is a sparse Laurent polynomial {exponent: Fraction};
-  * den is an ordinary polynomial {exponent: Fraction} with nonzero constant
+  * num is a sparse Laurent polynomial, a tuple of (exponent, coefficient)
+    pairs sorted by exponent;
+  * den is an ordinary polynomial in the same form, with nonzero constant
     term and leading coefficient 1;
   * gcd(num shifted to lowest exponent 0, den) = 1;
-  * zero is {} / {0: 1}.
+  * zero is () / ((0, 1),).
 
 Canonical forms are unique, so equality is structural equality and Scalars are
 hashable.  All operations are pure and exact; no floating point anywhere.
-Coefficients are fractions.Fraction with unbounded integers.
+
+A coefficient is an int when it is integral and a fractions.Fraction (with
+denominator > 1) only when it is not; an integral Fraction is never stored.
+Since str(3) == str(Fraction(3)) and hash(3) == hash(Fraction(3)), rendering
+and hashing do not depend on which of the two a value took on the way.  Every
+coefficient division goes through _div, which divides ints with // when the
+division is exact and through Fraction otherwise, so int / int (a float)
+never runs.
 """
 
 from fractions import Fraction
@@ -23,28 +31,36 @@ __all__ = [
     "parse_scalar",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_DEN_ONE = ((0, _F1),)
+_DEN_ONE = ((0, 1),)
+
+
+def _norm(c):
+    # an integral Fraction becomes its int; ints and other Fractions stay
+    return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+
+def _div(a, b):
+    # the one coefficient division: exact ints by //, anything else by Fraction
+    if a.__class__ is int and b.__class__ is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return _norm(Fraction(a) / b)
 
 
 def _trim(d):
-    return {e: c for e, c in d.items() if c}
+    return {e: _norm(c) for e, c in d.items() if c}
 
 
 def _padd(a, b):
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, _F0) + c
+        s = out.get(e, 0) + c
         if s:
-            out[e] = s
+            out[e] = s if s.__class__ is int else _norm(s)
         else:
             out.pop(e, None)
     return out
-
-
-def _pneg(a):
-    return {e: -c for e, c in a.items()}
 
 
 def _pmul(a, b):
@@ -52,20 +68,28 @@ def _pmul(a, b):
         return {}
     if len(a) == 1:
         (ea, ca), = a.items()
-        return {ea + e: ca * c for e, c in b.items()}
+        return dict(_scaled(b.items(), ea, ca))
     if len(b) == 1:
         (eb, cb), = b.items()
-        return {e + eb: c * cb for e, c in a.items()}
+        return dict(_scaled(a.items(), eb, cb))
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            s = out.get(e, _F0) + ca * cb
+            s = out.get(e, 0) + ca * cb
             if s:
-                out[e] = s
+                out[e] = s if s.__class__ is int else _norm(s)
             else:
                 out.pop(e, None)
     return out
+
+
+def _scaled(terms, k, c0):
+    # (exponent, coefficient) pairs times c0*q^k, in the same order
+    if c0 == 1:
+        return tuple([(e + k, c) for e, c in terms])
+    return tuple([(e + k, p if (p := c * c0).__class__ is int else _norm(p))
+                  for e, c in terms])
 
 
 def _pshift(a, k):
@@ -77,7 +101,7 @@ def _pshift(a, k):
 def _to_dense(a):
     # ordinary polynomial dict -> dense coefficient list, constant first
     n = max(a)
-    out = [_F0] * (n + 1)
+    out = [0] * (n + 1)
     for e, c in a.items():
         out[e] = c
     return out
@@ -93,11 +117,11 @@ def _dense_divmod(a, b):
     db, lb = len(b) - 1, b[-1]
     if len(a) - 1 < db:
         return [], a
-    quot = [_F0] * (len(a) - db)
+    quot = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
-            f = c / lb
+            f = _div(c, lb)
             quot[i - db] = f
             for k in range(db + 1):
                 a[i - db + k] -= f * b[k]
@@ -116,7 +140,7 @@ def _dense_gcd(a, b):
     if a:
         lc = a[-1]
         if lc != 1:
-            a = [c / lc for c in a]
+            a = [_div(c, lc) for c in a]
     return a
 
 
@@ -137,8 +161,8 @@ def _canon(num, den):
         # constant denominator: fold into numerator
         c = den[0]
         if c != 1:
-            p = {e: v / c for e, v in p.items()}
-        den = {0: _F1}
+            p = {e: _div(v, c) for e, v in p.items()}
+        den = {0: 1}
     else:
         g = _dense_gcd(_to_dense(p), _to_dense(den))
         if len(g) > 1:
@@ -146,8 +170,8 @@ def _canon(num, den):
             den = _from_dense(_dense_divmod(_to_dense(den), g)[0])
         lc = den[max(den)]
         if lc != 1:
-            den = {e: c / lc for e, c in den.items()}
-            p = {e: c / lc for e, c in p.items()}
+            den = {e: _div(c, lc) for e, c in den.items()}
+            p = {e: _div(c, lc) for e, c in p.items()}
     num = _pshift(p, sn) if sn else p
     return tuple(sorted(num.items())), tuple(sorted(den.items()))
 
@@ -159,7 +183,7 @@ class Scalar:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = {0: _F1}
+            den = {0: 1}
         self.num, self.den = _canon(num, den)
         self._hash = None
 
@@ -175,7 +199,7 @@ class Scalar:
         return not self.num
 
     def is_one(self):
-        return self.num == ((0, _F1),) and self.den == _DEN_ONE
+        return self.num == ((0, 1),) and self.den == _DEN_ONE
 
     def is_monomial(self):
         return len(self.num) == 1 and self.den == _DEN_ONE
@@ -212,18 +236,29 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.num or not other.num:
+        a, b = self.num, other.num
+        if not a or not b:
             return ZERO
+        # A monomial c*q^k with denominator 1 scales the other numerator: the
+        # shifted numerator is only multiplied by a unit, so it stays coprime
+        # to the denominator and the result is already canonical.
+        if len(b) == 1 and other.den == _DEN_ONE:
+            return Scalar._raw(_scaled(a, *b[0]), self.den)
+        if len(a) == 1 and self.den == _DEN_ONE:
+            return Scalar._raw(_scaled(b, *a[0]), other.den)
         if self.den == _DEN_ONE and other.den == _DEN_ONE:
-            return Scalar._raw(
-                tuple(sorted(_pmul(dict(self.num), dict(other.num)).items())), _DEN_ONE)
-        return Scalar(_pmul(dict(self.num), dict(other.num)),
-                      _pmul(dict(self.den), dict(other.den)))
+            return Scalar._raw(tuple(sorted(_pmul(dict(a), dict(b)).items())), _DEN_ONE)
+        return Scalar(_pmul(dict(a), dict(b)), _pmul(dict(self.den), dict(other.den)))
 
     def inverse(self):
-        if not self.num:
+        # num = c*q^s*P with P(0) != 0 and P monic, coprime to den; so the
+        # inverse is (q^-s*den/c) / P, canonical without a gcd.
+        num = self.num
+        if not num:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        return Scalar(dict(self.den), dict(self.num))
+        s, c = num[0][0], num[-1][1]
+        return Scalar._raw(tuple([(e - s, _div(x, c)) for e, x in self.den]),
+                           tuple([(e - s, _div(x, c)) for e, x in num]))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -248,7 +283,7 @@ class Scalar:
         q0 = Fraction(q0)
         if q0 == 0:
             raise ZeroDivisionError("q = 0 is not in the torus")
-        n = sum(c * q0 ** e for e, c in self.num) if self.num else _F0
+        n = sum(c * q0 ** e for e, c in self.num) if self.num else Fraction(0)
         d = sum(c * q0 ** e for e, c in self.den)
         return n / d
 
@@ -266,12 +301,12 @@ class Scalar:
 
 
 ZERO = Scalar({})
-ONE = Scalar({0: _F1})
+ONE = Scalar({0: 1})
 
 
 def qpow(e):
     """The monomial q^e, e any integer."""
-    return Scalar({e: _F1})
+    return Scalar._raw(((e, 1),), _DEN_ONE)
 
 
 def from_fraction(c):
@@ -286,7 +321,7 @@ def q_bracket(n, d=1):
         return ZERO
     if n < 0:
         return -q_bracket(-n, d)
-    return Scalar({d * (n - 1 - 2 * k): _F1 for k in range(n)})
+    return Scalar({d * (n - 1 - 2 * k): 1 for k in range(n)})
 
 
 def q_integer(n, d=1):

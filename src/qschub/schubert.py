@@ -36,7 +36,8 @@ class NormalizationError(EngineError):
 
 
 def _int_vec(v):
-    assert all(Fraction(x).denominator == 1 for x in v), v
+    if any(Fraction(x).denominator != 1 for x in v):
+        raise EngineError(f"weight {tuple(v)} is not integral")
     return tuple(int(x) for x in v)
 
 
@@ -233,7 +234,9 @@ class SchubertCell:
         # every delta_j is nilpotent on the generators below j
         for jj in range(2, self.l + 1):
             qj = pres.qself[jj]
-            assert qj.as_q_power() not in (None, 0)
+            if qj.as_q_power() in (None, 0):
+                raise EngineError(f"torus eigenvalue q_{jj} = {qj} is not a nontrivial "
+                                  "power of q")
             for i in range(1, jj):
                 gen = pres.gen(i)
                 pres.delta_nilpotency(jj, gen)
@@ -288,7 +291,9 @@ class SchubertCell:
         support = xi.weight_support()
         if not support:
             return {}
-        assert len(support) == 1, "dual functional must be weight homogeneous"
+        if len(support) != 1:
+            raise EngineError(f"dual functional has weights {sorted(support)}; "
+                              "it must be weight homogeneous")
         mu = support.pop()
         module = self.ops(lam_fw)["module"]
         wl = self.word.element.act_weight(module.lam)

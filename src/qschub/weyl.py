@@ -57,7 +57,8 @@ class RootDatum:
         self.bil = tuple(tuple(r) for r in bil)
         self.cartan = tuple(tuple(Fraction(bil[i][j], d[i]) for j in range(rank))
                             for i in range(rank))
-        assert all(c.denominator == 1 for row in self.cartan for c in row)
+        if any(c.denominator != 1 for row in self.cartan for c in row):
+            raise ValueError(f"{family}{rank}: Cartan matrix {self.cartan} is not integral")
         self.cartan = tuple(tuple(int(c) for c in row) for row in self.cartan)
         self._check_cartan()
         self.fundamental_weights = self._fundamental_weights()
@@ -80,12 +81,16 @@ class RootDatum:
 
     def _check_cartan(self):
         a, b, d = self.cartan, self.bil, self.d
-        assert min(d) == 1, "normalisation requires a short root of squared length 2"
+        if min(d) != 1:
+            raise ValueError(f"{self.label}: normalisation requires a short root of "
+                             "squared length 2")
         for i in range(self.rank):
-            assert a[i][i] == 2 and b[i][i] == 2 * d[i]
+            if a[i][i] != 2 or b[i][i] != 2 * d[i]:
+                raise ValueError(f"{self.label}: bad diagonal at alpha_{i + 1}")
             for j in range(self.rank):
-                assert b[i][j] == b[j][i]
-                assert 2 * b[i][j] == a[i][j] * b[i][i]
+                if b[i][j] != b[j][i] or 2 * b[i][j] != a[i][j] * b[i][i]:
+                    raise ValueError(f"{self.label}: form and Cartan matrix disagree "
+                                     f"at (alpha_{i + 1}, alpha_{j + 1})")
 
     def _fundamental_weights(self):
         # varpi_i in root coordinates: columns of the inverse Cartan matrix
@@ -350,5 +355,7 @@ class ReducedWord:
 def root_datum(label, rank_cap=4):
     """RootDatum from a label like 'A2', 'B2', 'G2'; cached."""
     label = label.strip().upper()
+    if not label[1:].isdigit():
+        raise ValueError(f"bad type label {label!r}: expected a family letter and a rank")
     family, rank = label[0], int(label[1:])
     return RootDatum(family, rank, rank_cap=rank_cap)

@@ -152,3 +152,24 @@ def test_campaign_isolates_an_engine_failure(tmp_path, capsys):
     assert by_check[((1, 2, 1), "main1b")]["ok"]
     assert by_check[((2, 1), "main1b")]["ok"]
     assert "FAIL main2 A2 1,2,1: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, why", [
+    ("bownd = 1", "unknown key 'bownd'"),
+    ("bound = six", "bound needs an integer, got 'six'"),
+    ("case = A2 : 2,1 : main1bb", "unknown check 'main1bb'"),
+    ("case = A2 : 1,1 : main1b", "not reduced"),
+    ("case = A9 : 1 : main1b", "out of range"),
+    ("case = : 1 : main1b", "bad type label ''"),
+    ("case = A2 : 1,x : main1b", "comma-separated letters"),
+    ("case = A3 : all<=six : main1b", "all<= needs an integer"),
+])
+def test_campaign_rejects_a_bad_config_before_any_check(tmp_path, capsys, line, why):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = A1 : 1 : main1b\n" + line + "\n")
+    out = tmp_path / "r.json"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: line 2: " in captured.err and why in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()

@@ -1,7 +1,11 @@
 """Negative controls: every verifier must be able to fail on corrupted input."""
 
+import ast
+import pathlib
+
 import pytest
 
+import qschub
 from qschub.qscalar import ONE, qpow
 from qschub.pbw import Presentation, EngineError
 from qschub.schubert import schubert_cell
@@ -75,3 +79,18 @@ def test_normality_with_wrong_exponent_fails():
     rhs = pres.scale(pres.mul(pres.gen(2), b), qpow(99))
     diff = pres.add(lhs, rhs, -ONE)
     assert not lab.membership(diff, sl)
+
+
+def test_certificates_are_not_asserts():
+    # python -O strips assert statements, which would silently drop a check
+    src = pathlib.Path(qschub.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_bad_relation_table_line_raises():
+    with pytest.raises(EngineError, match="bad relation table line"):
+        Presentation.from_table_text("gens 2\nlam 2 1 : q\n")
