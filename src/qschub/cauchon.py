@@ -25,6 +25,7 @@ equal to the size of the kappa-orbit.
 """
 
 from .qscalar import ONE, cauchon_factorial
+from .linalg import accumulate
 from .pbw import Presentation, EngineError, NotExpressibleError
 from .subwords import kappa_orbit
 
@@ -95,7 +96,7 @@ class DeletingDerivations:
                     break
                 coeff = (one_minus ** (-m)) * cauchon_factorial(m, qj).inverse()
                 term = hi.mul(num, hi.gen(j, -m)) if m else num
-                out = hi.add(out, term, coeff)
+                accumulate(out, term, coeff)
                 m += 1
             exprs[i] = out
         return exprs
@@ -114,7 +115,7 @@ class DeletingDerivations:
                 tail = lo.tails.get((k, i))
                 if tail:
                     for mono, c in tail.items():
-                        rhs = hi.add(rhs, self._eval_monomial(hi, exprs, mono), c)
+                        accumulate(rhs, self._eval_monomial(hi, exprs, mono), c)
                 if lhs != rhs:
                     raise EngineError(
                         f"stage {j}: relation ({k},{i}) failed verification")
@@ -190,7 +191,7 @@ class DeletingDerivations:
                     f"monomial {n} is outside negative depth WINDOW_CAP = {WINDOW_CAP}")
             c = residual[n]
             out[n] = c
-            residual = hi.add(residual, evaluate(n), -c)
+            accumulate(residual, evaluate(n), -c)
         return out
 
     # -- full chain -----------------------------------------------------------
@@ -220,37 +221,6 @@ class DeletingDerivations:
 
     def final_presentation(self):
         return self.stage_presentation(2)
-
-
-def strong_rationality_check(cell, j):
-    """No nonconstant degree-zero central Laurent monomial in the quantum
-    subtorus on the generators j..l: the joint rational kernel of the skew
-    commutation matrix and the degree map must be trivial."""
-    from fractions import Fraction
-    betas = cell.betas[j - 1:]
-    n = len(betas)
-    rows = []
-    for b in range(n):
-        rows.append([Fraction((1 if a < b else -1) * cell.datum.pairing(betas[a], betas[b]))
-                     if a != b else Fraction(0) for a in range(n)])
-    for t in range(cell.datum.rank):
-        rows.append([Fraction(betas[a][t]) for a in range(n)])
-    # rational kernel must be zero: column rank n
-    rank = 0
-    work = [list(r) for r in rows]
-    for c in range(n):
-        p = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if p is None:
-            return False
-        work[rank], work[p] = work[p], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank == n
 
 
 def verify_main1b(cell, record_stages=False):

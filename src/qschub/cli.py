@@ -134,7 +134,7 @@ def cmd_dd_run(args):
     return EXIT_OK
 
 
-def _verify_one(kind, label, letters, bound, lambda_budget, gk_expect=None):
+def _verify_one(kind, label, letters, bound, lambda_budget):
     cell = schubert_cell(label, letters)
     if kind == "main1b":
         rep = verify_main1b(cell)

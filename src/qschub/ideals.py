@@ -18,8 +18,8 @@ read the same data.
 
 from fractions import Fraction
 
-from .qscalar import ZERO, ONE, qpow
-from .linalg import Echelon, nullspace
+from .qscalar import ONE, qpow
+from .linalg import Echelon, accumulate, nullspace
 from .pbw import EngineError
 from .modules import build_module, demazure_echelon, DualFunctional, root_coords
 from .subwords import lp_index_set
@@ -121,9 +121,6 @@ class IdealLab:
             walk(self.l, [0] * self.l, 0)
             self._degrees = {h: sorted(monos) for h, monos in out.items()}
         return self._degrees
-
-    def ambient_dim(self, h):
-        return len(self.degrees().get(tuple(h), ()))
 
     # -- slice construction -----------------------------------------------------
 
@@ -257,12 +254,7 @@ class IdealLab:
         for coeffs in coeffs_list:
             el = {}
             for i, c in coeffs.items():
-                for mono, v in rows[i].items():
-                    s = el.get(mono, ZERO) + c * v
-                    if s.is_zero():
-                        el.pop(mono, None)
-                    else:
-                        el[mono] = s
+                accumulate(el, rows[i], c)
             if el:
                 out.append(el)
         return out
@@ -528,147 +520,3 @@ class IdealLab:
                 if self.membership(pres.mul(e1, e2), sl):
                     return {"ok": False, "pair": [sorted(e1), sorted(e2)]}
         return {"ok": True, "sampled": tried}
-
-    def _monomial_exponents(self, mono):
-        """k with x^mono x_m = q^{k_m} x_m x^mono at the common monomial."""
-        pres = self.pres
-        out = []
-        for m in range(1, self.l + 1):
-            lead = tuple(n + (1 if i == m - 1 else 0) for i, n in enumerate(mono))
-            p = pres.mul({mono: ONE}, pres.gen(m))
-            q = pres.mul(pres.gen(m), {mono: ONE})
-            ratio = p[lead] / q[lead]
-            e = ratio.as_q_power()
-            if e is None:
-                raise EngineError(f"x^{mono} and x_{m} do not q-commute at their "
-                                  f"common leading monomial (ratio {ratio})")
-            out.append(e)
-        return tuple(out)
-
-    def homog_normal_scan(self, y_letters, max_height=None):
-        """Scan quotient slices for homogeneous normal elements and check the
-        half-weight consistency equations for each one found."""
-        datum = self.datum
-        sl = self.slices(tuple(y_letters))
-        y = datum.from_word(tuple(y_letters))
-        max_height = max_height if max_height is not None else self.bound - 1
-        # generators that die in the ideal put no constraint on the exponents
-        active = [m for m in range(1, self.l + 1)
-                  if not self.membership(self.pres.gen(m), sl)]
-        found = []
-        degrees = [h for h in self.degrees() if 0 < sum(h) <= max_height]
-        for h in sorted(degrees):
-            monos = self.degrees()[h]
-            if sl.dim(h) == len(monos):
-                continue  # the slice is everything: zero in the quotient
-            cand_ks = sorted({self._monomial_exponents(mono) for mono in monos})
-            for ks in cand_ks:
-                sols = self._normal_solutions(h, monos, ks, sl)
-                for u in sols:
-                    if self.membership(u, sl):
-                        continue
-                    mu = self._solve_normal_weight(y, h, ks, active)
-                    found.append({"degree": list(h), "exponents": list(ks),
-                                  "active": active,
-                                  "consistent": mu is not None,
-                                  "mu": None if mu is None else [str(x) for x in mu]})
-        return {"y": y.render(), "found": found,
-                "ok": all(f["consistent"] for f in found)}
-
-    def _normal_solutions(self, h, monos, ks, sl):
-        pres = self.pres
-        cols = []
-        rowspace = []
-        for mono in monos:
-            residuals = {}
-            for m in range(1, self.l + 1):
-                hh = tuple(a + b for a, b in zip(h, self.cell.betas[m - 1]))
-                if sum(hh) > self.bound:
-                    continue
-                lhs = pres.mul({mono: ONE}, pres.gen(m))
-                rhs = pres.scale(pres.mul(pres.gen(m), {mono: ONE}), qpow(ks[m - 1]))
-                diff = pres.add(lhs, rhs, -ONE)
-                ech = sl.echelon(hh)
-                red = ech.reduce(diff) if ech else diff
-                for mm, c in red.items():
-                    residuals[(m, mm)] = c
-            cols.append(residuals)
-        # nullspace over the monomial coefficients
-        keys = sorted({k for col in cols for k in col})
-        rows = [{i: cols[i][k] for i in range(len(cols)) if k in cols[i]} for k in keys]
-        combos = nullspace(rows, list(range(len(cols))))
-        out = []
-        for combo in combos:
-            el = {}
-            for i, c in combo.items():
-                mono = monos[i]
-                s = el.get(mono, ZERO) + c
-                if s.is_zero():
-                    el.pop(mono, None)
-                else:
-                    el[mono] = s
-            if el:
-                out.append(el)
-        return out
-
-    def _solve_normal_weight(self, y, h, ks, active=None):
-        """mu (rational, in root coordinates) with
-
-              <(w+y)mu, beta_m> = k_m   for every active generator m,
-              (y - w)mu = h,
-
-        or None when the stacked system is inconsistent or mu is not in the
-        half-weight lattice.  Generators whose class vanishes in the quotient
-        are excluded: their commutation exponent carries no information."""
-        datum, cell = self.datum, self.cell
-        r = datum.rank
-        w = cell.word.element
-        active = active if active is not None else list(range(1, self.l + 1))
-        unit = [tuple(Fraction(int(t == i)) for t in range(r)) for i in range(r)]
-        plus = [tuple(a + b for a, b in zip(w.act_weight(u), y.act_weight(u)))
-                for u in unit]
-        minus = [tuple(a - b for a, b in zip(y.act_weight(u), w.act_weight(u)))
-                 for u in unit]
-        rows, rhs = [], []
-        for m in active:
-            rows.append([datum.pairing(plus[i], cell.betas[m - 1]) for i in range(r)])
-            rhs.append(Fraction(ks[m - 1]))
-        for t in range(r):
-            rows.append([minus[i][t] for i in range(r)])
-            rhs.append(Fraction(h[t]))
-        mu = _solve_rational(rows, rhs)
-        if mu is None:
-            return None
-        # mu must lie in half the weight lattice
-        for i in range(1, r + 1):
-            if (2 * datum.pair_coroot(mu, i)).denominator != 1:
-                return None
-        return mu
-
-
-def _solve_rational(rows, rhs):
-    """Solve an overdetermined rational system exactly; None if inconsistent."""
-    n = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n]:
-            return None
-    mu = [Fraction(0)] * n
-    for row_idx, c in enumerate(piv_cols):
-        mu[c] = aug[row_idx][n]
-    return tuple(mu)

@@ -9,8 +9,8 @@ pivot entry has the fewest terms wins (ties broken by insertion order).
 from .qscalar import ZERO, ONE
 
 __all__ = [
-    "vec_add", "vec_scale", "Echelon", "solve_columns", "nullspace",
-    "invert_matrix", "mat_mul", "mat_vec",
+    "accumulate", "vec_add", "vec_scale", "Echelon", "solve_columns",
+    "nullspace", "invert_matrix", "mat_mul", "mat_vec",
 ]
 
 
@@ -22,18 +22,28 @@ def vec_scale(v, c):
     return {k: c * x for k, x in v.items()}
 
 
-def vec_add(u, v, c=None):
-    # u + c*v, destructive on a copy of u
-    out = dict(u)
+def accumulate(out, v, c=None):
+    """Add c*v (v itself when c is None) into out in place and return out.
+
+    Entries that cancel are dropped, so out stays free of zeros.  v is only
+    read: a memoised vector may be passed as v, never as out.
+    """
     for k, x in v.items():
-        y = x if c is None else c * x
+        if c is not None:
+            x = c * x
         s = out.get(k)
-        s = y if s is None else s + y
-        if s.is_zero():
+        if s is not None:
+            x = s + x
+        if x.is_zero():
             out.pop(k, None)
         else:
-            out[k] = s
+            out[k] = x
     return out
+
+
+def vec_add(u, v, c=None):
+    """u + c*v as a new vector; neither input is changed."""
+    return accumulate(dict(u), v, c)
 
 
 def _complexity(s):
@@ -56,7 +66,7 @@ class Echelon:
         for piv, row in zip(self.pivots, self.rows):
             c = v.get(piv)
             if c is not None and not c.is_zero():
-                v = vec_add(v, row, -c)
+                accumulate(v, row, -c)
         return v
 
     def add(self, v):
@@ -90,11 +100,6 @@ class Echelon:
         e.rows = [dict(r) for r in self.rows]
         e.pivots = list(self.pivots)
         return e
-
-    def equals_span(self, other):
-        return (len(self) == len(other)
-                and all(other.contains(r) for r in self.rows)
-                and all(self.contains(r) for r in other.rows))
 
 
 def solve_columns(columns, target):
@@ -194,18 +199,13 @@ def mat_mul(m1, m2):
     out = {}
     by_col1 = {}
     for (r, c), a in m1.items():
-        by_col1.setdefault(c, []).append((r, a))
+        by_col1.setdefault(c, {})[r] = a
     for c2, col in cols2.items():
         acc = {}
         for mid, x in col.items():
-            for r, a in by_col1.get(mid, ()):
-                s = acc.get(r)
-                t = a * x
-                s = t if s is None else s + t
-                if s.is_zero():
-                    acc.pop(r, None)
-                else:
-                    acc[r] = s
+            row = by_col1.get(mid)
+            if row:
+                accumulate(acc, row, x)
         for r, s in acc.items():
             out[(r, c2)] = s
     return out

@@ -18,7 +18,7 @@ module construction and serves as the dimension oracle.
 from fractions import Fraction
 
 from .qscalar import ZERO, ONE, qpow, from_fraction, q_bracket, q_factorial
-from .linalg import mat_vec, mat_mul, invert_matrix, solve_columns, Echelon
+from .linalg import accumulate, mat_vec, mat_mul, invert_matrix, solve_columns, Echelon
 from .pbw import EngineError
 
 __all__ = ["WeightModule", "build_module", "weight_multiplicities", "DualFunctional"]
@@ -239,24 +239,11 @@ class WeightModule:
         col = self.weights[up][loc]
         eb = self._column(self.E[a], col)
         out = {}
-        if eb:
-            for mid, c in eb.items():
-                fcol = self._column(self.F[i], mid)
-                for row, c2 in fcol.items():
-                    s = out.get(row, ZERO) + c * c2
-                    if s.is_zero():
-                        out.pop(row, None)
-                    else:
-                        out[row] = s
+        for mid, c in eb.items():
+            accumulate(out, self._column(self.F[i], mid), c)
         if a == i:
             n = datum.pair_coroot(up, a)
-            bracket = q_bracket(int(n), datum.d[a - 1])
-            if not bracket.is_zero():
-                s = out.get(col, ZERO) + bracket
-                if s.is_zero():
-                    out.pop(col, None)
-                else:
-                    out[col] = s
+            accumulate(out, {col: q_bracket(int(n), datum.d[a - 1])})
         return out
 
     # -- basic structure ----------------------------------------------------
@@ -275,9 +262,6 @@ class WeightModule:
             raise EngineError(f"K_{i} eigenvalue exponent {e} at weight "
                               f"{self.wt_of[idx]} is not an integer")
         return int(e)
-
-    def apply(self, mat, vec):
-        return mat_vec(mat, vec)
 
     def highest_vector(self):
         return {0: ONE}
@@ -332,12 +316,7 @@ class WeightModule:
                             coeff = (sign * qpow(d * (m - l * n))
                                      / (q_factorial(l, d) * q_factorial(m, d)
                                         * q_factorial(n, d)))
-                            for row, c in w.items():
-                                s = out.get(row, ZERO) + coeff * c
-                                if s.is_zero():
-                                    out.pop(row, None)
-                                else:
-                                    out[row] = s
+                            accumulate(out, w, coeff)
                     l += 1
             for row, c in out.items():
                 mat[(row, col)] = c

@@ -20,6 +20,7 @@ the second sum being finite because delta_p is locally nilpotent.
 """
 
 from .qscalar import ONE, render_scalar, parse_scalar
+from .linalg import accumulate, vec_add, vec_scale
 
 __all__ = ["Presentation", "EngineError", "NotExpressibleError"]
 
@@ -126,26 +127,8 @@ class Presentation:
 
     # -- element helpers ------------------------------------------------------
 
-    @staticmethod
-    def add(e1, e2, coeff=None):
-        out = dict(e1)
-        for m, c in e2.items():
-            v = c if coeff is None else coeff * c
-            s = out.get(m)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
-
-    @staticmethod
-    def scale(e, c):
-        if c.is_zero():
-            return {}
-        if c.is_one():
-            return dict(e)
-        return {m: c * x for m, x in e.items()}
+    add = staticmethod(vec_add)
+    scale = staticmethod(vec_scale)
 
     def degree_of_mono(self, mono):
         if self.degs is None:
@@ -209,15 +192,14 @@ class Presentation:
                 out = self.scale(out, self.lam[(k, i)])
             tail = self.tails.get((k, i))
             if tail:
-                for tm, tc in tail.items():
-                    out = self.add(out, {_merge(tm, rest): tc})
+                accumulate(out, {_merge(tm, rest): tc for tm, tc in tail.items()})
         self._delta_memo[key] = out
         return out
 
     def apply_delta(self, k, e):
         out = {}
         for m, c in e.items():
-            out = self.add(out, self.delta_mono(k, m), c)
+            accumulate(out, self.delta_mono(k, m), c)
         return out
 
     def delta_nilpotency(self, k, e):
@@ -245,7 +227,7 @@ class Presentation:
             for m1, c1 in e1.items():
                 prod = self._mul_mono(m1, m2)
                 if prod:
-                    out = self.add(out, prod, c1 * c2)
+                    accumulate(out, prod, c1 * c2)
         return out
 
     def _mul_mono(self, m1, m2):
@@ -294,15 +276,15 @@ class Presentation:
         for m, c in e.items():
             lo = tuple(n if i < k - 1 else 0 for i, n in enumerate(m))
             if _top_index(lo) == 0:
-                out = self.add(out, {_merge(m, ek): ONE}, c)
+                accumulate(out, {_merge(m, ek): ONE}, c)
                 continue
             hi = tuple(n if i >= k - 1 else 0 for i, n in enumerate(m))
             s = self.sigma_scalar(k, lo, -1)
-            out = self.add(out, {_merge(_merge(hi, ek), lo): s}, c)
+            accumulate(out, {_merge(_merge(hi, ek), lo): s}, c)
             dlo = self.delta_mono(k, lo)
             if dlo:
-                for dm, dc in dlo.items():
-                    out = self.add(out, {_merge(hi, dm): dc}, -(c * s))
+                accumulate(out, {_merge(hi, dm): dc for dm, dc in dlo.items()},
+                           -(c * s))
         return out
 
     def _push_geninv(self, e, p):
@@ -317,8 +299,9 @@ class Presentation:
                 if t > self.nilpotency_cap:
                     raise EngineError(f"delta_{p} not nilpotent within cap (localisation)")
                 shift = tuple(-(t + 1) if i == p - 1 else 0 for i in range(self.l))
-                for dm, dc in self.apply_sigma(p, cur).items():
-                    out = self.add(out, {_merge(_merge(hi, shift), dm): dc}, c)
+                base = _merge(hi, shift)
+                accumulate(out, {_merge(base, dm): dc
+                                 for dm, dc in self.apply_sigma(p, cur).items()}, c)
                 cur = self.apply_delta(p, cur)
                 t += 1
         return out
@@ -336,7 +319,7 @@ class Presentation:
         """expression: iterable of (Scalar, letter list) pairs, summed."""
         out = {}
         for coeff, letters in expression:
-            out = self.add(out, self.normal_form_word(letters, coeff))
+            accumulate(out, self.normal_form_word(letters, coeff))
         return out
 
     # -- localisation-facing views ----------------------------------------------
@@ -348,35 +331,6 @@ class Presentation:
         for m, c in e.items():
             mm = tuple(0 if i == p - 1 else n for i, n in enumerate(m))
             out.setdefault(m[p - 1], {})[mm] = c
-        return out
-
-    def top_decomposition(self, e):
-        """e as a left polynomial in x_l: {m: element of the l-1 subalgebra}."""
-        out = {}
-        for m, c in e.items():
-            mm = tuple(0 if i == self.l - 1 else n for i, n in enumerate(m))
-            out.setdefault(m[self.l - 1], {})[mm] = c
-        return out
-
-    def right_collect_top(self, e):
-        """e rewritten as sum_m a'_m x_l^m; returns {m: a'_m} (a'_m below l).
-
-        The left layer x_l^d c matches a'_d x_l^d with a'_d = sigma_l^d(c),
-        since a'_d x_l^d normalises to x_l^d sigma_l^{-d}(a'_d) + lower terms.
-        """
-        out = {}
-        rem = dict(e)
-        while rem:
-            d = max(m[self.l - 1] for m in rem)
-            layer = {m: c for m, c in rem.items() if m[self.l - 1] == d}
-            coeff = {tuple(0 if i == self.l - 1 else n for i, n in enumerate(m)): c
-                     for m, c in layer.items()}
-            a = self.apply_sigma(self.l, coeff, d)
-            prod = self.mul(a, self.gen(self.l, d)) if d else dict(a)
-            rem = self.add(rem, prod, -ONE)
-            out[d] = a
-            if rem and max(m[self.l - 1] for m in rem) >= d:
-                raise EngineError("right collection failed to lower the top degree")
         return out
 
     def theta(self, e):
@@ -401,8 +355,8 @@ class Presentation:
             if not cur:
                 break
             coeff = (one_minus ** (-m)) * cauchon_factorial(m, ql).inverse()
-            term = ctx.mul(cur, ctx.gen(self.l, -m)) if m else dict(cur)
-            out = ctx.add(out, term, coeff)
+            term = ctx.mul(cur, ctx.gen(self.l, -m)) if m else cur
+            accumulate(out, term, coeff)
             m += 1
         return out
 

@@ -201,9 +201,6 @@ class Scalar:
     def is_one(self):
         return self.num == ((0, 1),) and self.den == _DEN_ONE
 
-    def is_monomial(self):
-        return len(self.num) == 1 and self.den == _DEN_ONE
-
     def __bool__(self):
         return bool(self.num)
 
@@ -321,7 +318,9 @@ def q_bracket(n, d=1):
         return ZERO
     if n < 0:
         return -q_bracket(-n, d)
-    return Scalar({d * (n - 1 - 2 * k): 1 for k in range(n)})
+    # q^{d(1-n)} + q^{d(3-n)} + ... + q^{d(n-1)}: distinct exponents, each
+    # coefficient 1, so the ascending tuple is already canonical
+    return Scalar._raw(tuple((d * e, 1) for e in range(1 - n, n, 2)), _DEN_ONE)
 
 
 def q_integer(n, d=1):

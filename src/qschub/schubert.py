@@ -21,8 +21,8 @@ Delta_l = (q_{a_l}^{-1} - q_{a_l}) x_l, which is asserted, not rescaled.
 
 from fractions import Fraction
 
-from .qscalar import ZERO, ONE, qpow, q_factorial
-from .linalg import mat_mul, mat_vec, solve_columns
+from .qscalar import ONE, qpow, q_factorial
+from .linalg import accumulate, mat_mul, mat_vec, solve_columns
 from .weyl import ReducedWord, root_datum
 from .pbw import Presentation, EngineError
 from .modules import build_module, extremal_dual, root_coords
@@ -152,16 +152,10 @@ class SchubertCell:
         """The operator of a PBW element on V(lam): an independent check of
         engine arithmetic against the faithful module action."""
         pack = self.ops(tuple(lam_fw))
-        dim = pack["module"].dim
         out = {}
         for mono, c in element.items():
             mat, = self._mono_operator([pack], mono)
-            for key, v in mat.items():
-                s = out.get(key, ZERO) + c * v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            accumulate(out, mat, c)
         return out
 
     def _mono_operator(self, packs, mono):

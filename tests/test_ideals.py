@@ -206,42 +206,3 @@ def test_normality_trivial_lambda():
     assert rep["ok"]
     assert all(c["exponent"] == 0 for c in rep["checks"])
     assert lab.cell.b_element((1,), (0, 0)) == lab.pres.one()
-
-
-def test_homog_normal_scan():
-    lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 4)
-    for y_letters in [(1,), (2, 1), (1, 2, 1)]:
-        rep = lab.homog_normal_scan(y_letters)
-        assert rep["ok"], rep
-    # the scan does find the b-element exponents in the s1 quotient
-    rep = lab.homog_normal_scan((1,))
-    assert rep["found"], "expected nontrivial normal elements"
-
-
-def test_scan_recovers_b_element_weight():
-    # u = b^{fw_2}_{s1, w0} has degree fw_2 - w0 fw_2 = a1 + a2... the scan's
-    # mu solution must be consistent wherever that element appears
-    lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 4)
-    cell = lab.cell
-    b = cell.b_element((1,), (0, 1))
-    h = tuple(-x for x in lab.pres.degree(b))
-    rep = lab.homog_normal_scan((1,))
-    assert any(tuple(f["degree"]) == h and f["consistent"] for f in rep["found"])
-
-
-def test_normal_weight_solver_recovers_lambda():
-    # solving the consistency equations at the b-element's exponents gives
-    # back lambda itself (the solve is unique here)
-    from fractions import Fraction
-    from qschub.modules import root_coords
-    lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 4)
-    cell, datum = lab.cell, lab.datum
-    w = cell.word.element
-    for y_letters, lam_fw in [((1,), (0, 1)), ((2,), (1, 0)), ((1, 2), (1, 0))]:
-        y = datum.from_word(y_letters)
-        lam = root_coords(datum, lam_fw)
-        wy = tuple(a + b for a, b in zip(w.act_weight(lam), y.act_weight(lam)))
-        ks = tuple(int(datum.pairing(wy, beta)) for beta in cell.betas)
-        h = tuple(int(a - b) for a, b in zip(y.act_weight(lam), w.act_weight(lam)))
-        mu = lab._solve_normal_weight(y, h, ks)
-        assert mu == lam

@@ -7,17 +7,8 @@ from qschub.linalg import mat_vec
 from qschub.weyl import root_datum
 from qschub.modules import build_module, extremal_vector
 from qschub.schubert import schubert_cell
-from qschub.cauchon import DeletingDerivations, strong_rationality_check
+from qschub.cauchon import DeletingDerivations
 from qschub.ideals import IdealLab
-
-
-def test_strong_rationality_spot_check():
-    for label, letters in [("A2", (1, 2, 1)), ("A2", (2, 1, 2)),
-                           ("B2", (1, 2, 1, 2)), ("A3", (1, 2, 1, 3, 2, 1)),
-                           ("G2", (1, 2, 1, 2, 1, 2))]:
-        cell = schubert_cell(label, letters)
-        for j in range(1, cell.l + 1):
-            assert strong_rationality_check(cell, j), (label, letters, j)
 
 
 def test_sl2_string_through_extremal_vectors():

@@ -94,3 +94,22 @@ def test_certificates_are_not_asserts():
 def test_bad_relation_table_line_raises():
     with pytest.raises(EngineError, match="bad relation table line"):
         Presentation.from_table_text("gens 2\nlam 2 1 : q\n")
+
+
+def test_package_has_no_unused_imports():
+    # a name imported at module level and never referenced is dead weight;
+    # __init__.py re-exports are exempt
+    src = pathlib.Path(qschub.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []

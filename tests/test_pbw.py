@@ -144,26 +144,6 @@ def test_theta_map():
         assert pres.theta(pres.mul(a, b)) == loc.mul(pres.theta(a), pres.theta(b))
 
 
-def test_right_collect_matches_left_spans():
-    pres = a2_chain()
-    rng = random.Random(23)
-    for _ in range(20):
-        e = rand_element(pres, rng)
-        if not e:
-            continue
-        left = pres.top_decomposition(e)
-        right = pres.right_collect_top(e)
-        # the top layer index agrees and its coefficients differ by sigma^d
-        d = max(left)
-        assert d == max(right)
-        assert right[d] == pres.apply_sigma(3, left[d], d)
-        # reassemble from the right-collected form
-        total = {}
-        for m, a in right.items():
-            total = pres.add(total, pres.mul(a, pres.gen(3, m)) if m else a)
-        assert total == e
-
-
 def test_table_and_json_round_trip():
     pres = a2_chain()
     text = pres.table_text()

@@ -1,8 +1,9 @@
 """Property tests for the Q(q) kernel over random Laurent-polynomial fractions.
 
 Hypothesis drives the field axioms, the canonical form, the text round trip,
-specialisation and the coefficient invariant; sympy's cancel is an independent
-oracle for products and quotients.
+specialisation and the coefficient invariant, and checks the sparse accumulate
+helper against a dense sum; sympy's cancel is an independent oracle for
+products and quotients.
 """
 
 from fractions import Fraction
@@ -10,10 +11,11 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from qschub.linalg import accumulate  # noqa: E402
 from qschub.qscalar import (  # noqa: E402
-    ZERO, ONE, Scalar, parse_scalar, render_scalar,
+    ZERO, ONE, Scalar, parse_scalar, q_bracket, qpow, render_scalar,
 )
 
 # integral Fractions are drawn too, so construction must normalise them
@@ -56,9 +58,15 @@ def test_field_axioms(a, b, c):
 
 
 @CASES
-@given(scalars(), scalars(), nonzero_polys)
-def test_equality_is_structure_and_hash(a, b, k):
+@given(scalars(), scalars(), nonzero_polys, st.integers(-4, 4), st.integers(1, 3))
+def test_equality_is_structure_and_hash(a, b, k, n, d):
     assert (a == b) == ((a.num, a.den) == (b.num, b.den))
+    # q_bracket builds its canonical form directly
+    bracket = q_bracket(n, d)
+    built = Scalar({d * e: (1 if n > 0 else -1) for e in range(1 - abs(n), abs(n), 2)})
+    assert (bracket.num, bracket.den) == (built.num, built.den)
+    assert bracket == built and hash(bracket) == hash(built)
+    assert (bracket == a) == ((bracket.num, bracket.den) == (a.num, a.den))
     # the same value built from num*k / den*k has the same form and hash
     num, den = dict(a.num), dict(a.den)
     kk = Scalar(k)
@@ -95,6 +103,29 @@ def test_coefficients_are_ints_or_proper_fractions(a, b, n):
     for s in (a, b, a + b, a - b, a * b, a / b, b.inverse(), b ** n, -a):
         for c in _coefficients(s):
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (s, c)
+
+
+vectors = st.dictionaries(st.integers(0, 4), scalars(nonzero=True), max_size=4)
+
+
+@CASES
+@example({0: ONE, 1: qpow(1)}, {0: -ONE, 2: ONE}, None, set())
+@example({0: ONE, 1: qpow(1)}, {1: ONE}, qpow(2), {1})
+@given(vectors, vectors, st.one_of(st.none(), scalars()), st.sets(st.integers(0, 4)))
+def test_accumulate_matches_dense_reference(u, v, c, cancel):
+    # make v cancel u exactly on the keys in `cancel`
+    if c is None or c:
+        for key in cancel & set(u):
+            v[key] = -u[key] if c is None else -(u[key] / c)
+    v_before = dict(v)
+    factor = ONE if c is None else c
+    dense = {key: u.get(key, ZERO) + factor * v.get(key, ZERO) for key in set(u) | set(v)}
+    want = {key: x for key, x in dense.items() if x}
+    out = dict(u)
+    assert accumulate(out, v, c) is out
+    assert out == want
+    assert all(x for x in out.values())
+    assert v == v_before
 
 
 def _sympy_of(s, q):
