@@ -3,7 +3,8 @@
 Subcommands: roots, bruhat, lp, minor, dd-run, verify (main1b | main2 |
 main2-ind | poset | gk | normality), campaign.  Exit codes: 0 when every
 requested check passes, 1 on a verification failure, 2 on precondition
-violations such as a non-reduced word or an unsupported type.
+violations such as a non-reduced word, an unsupported type or a bound,
+budget or length cap below 1.
 
 Campaign configs are flat `key = value` text; repeated `case` keys list the
 work items as `TYPE : word : checks`, where word is comma-separated letters
@@ -134,28 +135,32 @@ def cmd_dd_run(args):
     return EXIT_OK
 
 
-def _verify_one(kind, label, letters, bound, lambda_budget):
+def _verify_one(kind, label, letters, bound, lambda_budget, labs=None):
+    """Run one check.  labs maps a bound to the IdealLab of this word, so the
+    ideal checks of one word share their slices; a missing lab is built here."""
     cell = schubert_cell(label, letters)
     if kind == "main1b":
         rep = verify_main1b(cell)
         return rep, rep["ok"]
+    if kind not in CHECKS:
+        raise PreconditionError(f"unknown verification {kind!r}")
+    labs = {} if labs is None else labs
+    if bound not in labs:
+        labs[bound] = IdealLab(cell, bound, lambda_budget)
+    lab = labs[bound]
     if kind == "main2":
-        lab = IdealLab(cell, bound, lambda_budget)
         rep = lab.verify_main2_all()
         return rep, rep["ok"]
     if kind == "main2-ind":
-        lab = IdealLab(cell, bound, lambda_budget)
         rep = lab.verify_main2_ind_all()
         return rep, rep["ok"]
     if kind == "poset":
-        lab = IdealLab(cell, bound, lambda_budget)
         rep = lab.ideal_poset()
         combo = combinatorial_poset(cell.word)  # also certifies the LP bijection
         rep["lp_poset"] = combo
         rep["ok"] = bool(rep["ok"]) and [n["y"] for n in combo["nodes"]] == rep["nodes"]
         return rep, rep["ok"]
     if kind == "gk":
-        lab = IdealLab(cell, bound, lambda_budget)
         datum = cell.datum
         cases = []
         ok = True
@@ -167,24 +172,24 @@ def _verify_one(kind, label, letters, bound, lambda_budget):
                           "dims": lab.quotient_cumulative_dims(y.reduced_word())})
             ok &= fit == want
         return {"cases": cases, "ok": ok}, ok
-    if kind == "normality":
-        lab = IdealLab(cell, bound, lambda_budget)
-        datum = cell.datum
-        cases = []
-        ok = True
-        fundamentals = [tuple(int(t == a) for t in range(datum.rank))
-                        for a in range(datum.rank)]
-        for y in sorted(datum.lower_interval(cell.word.element),
-                        key=lambda u: (u.length, u.render())):
-            for lam in fundamentals:
-                rep = lab.verify_normality(y.reduced_word(), lam)
-                cases.append(rep)
-                ok &= rep["ok"]
-        return {"cases": cases, "ok": ok}, ok
-    raise PreconditionError(f"unknown verification {kind!r}")
+    # normality
+    datum = cell.datum
+    cases = []
+    ok = True
+    fundamentals = [tuple(int(t == a) for t in range(datum.rank))
+                    for a in range(datum.rank)]
+    for y in sorted(datum.lower_interval(cell.word.element),
+                    key=lambda u: (u.length, u.render())):
+        for lam in fundamentals:
+            rep = lab.verify_normality(y.reduced_word(), lam)
+            cases.append(rep)
+            ok &= rep["ok"]
+    return {"cases": cases, "ok": ok}, ok
 
 
 def cmd_verify(args):
+    _require_positive("--bound", args.bound)
+    _require_positive("--lambda-budget", args.lambda_budget)
     letters = _parse_word(args.word)
     _word(args.type, letters)
     try:
@@ -220,7 +225,7 @@ def parse_config(text):
                 cfg["cases"].append(_parse_case(value))
                 continue
             if key in _INT_KEYS:
-                _check_int(key, value)
+                _require_positive(key, _check_int(key, value))
             elif key != "out":
                 raise PreconditionError(f"unknown key {key!r}")
             cfg[key] = value
@@ -231,9 +236,14 @@ def parse_config(text):
 
 def _check_int(what, text):
     try:
-        int(text)
+        return int(text)
     except ValueError:
         raise PreconditionError(f"{what} needs an integer, got {text!r}") from None
+
+
+def _require_positive(what, n):
+    if n < 1:
+        raise PreconditionError(f"{what} must be at least 1, got {n}")
 
 
 def _parse_case(value):
@@ -246,7 +256,7 @@ def _parse_case(value):
         if check not in CHECKS:
             raise PreconditionError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
     if word.startswith("all<="):
-        _check_int("all<=", word[5:])
+        _require_positive("all<=", _check_int("all<=", word[5:]))
         _word(label, ())
     else:
         try:
@@ -283,13 +293,14 @@ def cmd_campaign(args):
     all_ok = True
     for case in cfg["cases"]:
         for letters in _expand_words(case["type"], case["word"], length_cap):
+            labs = {}  # bound -> IdealLab, shared by this word's checks
             for check in case["checks"]:
                 cb = {"gk": gk_bound, "normality": normality_bound}.get(check, bound)
                 # an engine failure is recorded against its own check only
                 table = error = None
                 try:
                     rep, ok = _verify_one(check, case["type"], tuple(letters),
-                                          cb, lambda_budget)
+                                          cb, lambda_budget, labs)
                     cell = schubert_cell(case["type"], tuple(letters))
                     table = cell.presentation().table_text()
                 except EngineError as exc:

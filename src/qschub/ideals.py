@@ -10,13 +10,22 @@ add nothing to any slice, but never before every fundamental weight has been
 tried (weights fixed by y contribute nothing); the saturation flag records
 whether the rule fired inside the weight budget.
 
+The closure is semi-naive: the slices are closed after every weight, so only
+the rows a weight just inserted, and the rows their products insert in turn,
+are multiplied by the generators.  They wait on a heap ordered by height,
+then degree, then insertion, so each degree is finished before any higher
+one.  The fully reduced echelon of a span is canonical, so the slices do not
+depend on the order in which rows arrive.
+
 Slices are the only ideal representation: membership is row reduction, the
 Cauchon diagram is computed by the leading-part/contraction recursion, and
 the slice-inclusion poset, normality exponents, and graded-growth fits all
 read the same data.
 """
 
+import heapq
 from fractions import Fraction
+from itertools import count
 
 from .qscalar import ONE, qpow
 from .linalg import Echelon, accumulate, nullspace
@@ -25,6 +34,11 @@ from .modules import build_module, demazure_echelon, DualFunctional, root_coords
 from .subwords import lp_index_set
 
 __all__ = ["IdealLab", "UnsaturatedError", "BoundError"]
+
+# main2-ind compares leading-part dimensions only up to height
+# bound - LEADING_PART_MARGIN * ht(beta_l): nearer the bound, the truncated
+# slices can miss elements whose x_l-degree carries them past it
+LEADING_PART_MARGIN = 2
 
 
 class UnsaturatedError(EngineError):
@@ -96,6 +110,7 @@ class IdealLab:
         self._slices = {}
         self._degrees = None
         self._phi_cache = {}
+        self._shorter = None
 
     # -- ambient graded structure -------------------------------------------
 
@@ -139,11 +154,11 @@ class IdealLab:
         streak = 0
         saturated = False
         for lam_fw in default_weight_sweep(self.datum.rank, self.lambda_budget):
-            grew = self._add_weight(slices, key, lam_fw)
-            if grew:
-                self._ideal_closure(slices)
+            fresh = self._add_weight(slices, key, lam_fw)
+            if fresh:
+                self._ideal_closure(slices, fresh)
             used.append(lam_fw)
-            streak = 0 if grew else streak + 1
+            streak = 0 if fresh else streak + 1
             # a weight fixed by y contributes nothing, so the no-growth rule
             # may only fire once every fundamental weight has been tried
             if streak >= 2 and len(used) >= self.datum.rank + 2:
@@ -155,6 +170,9 @@ class IdealLab:
         return hit
 
     def _add_weight(self, slices, y_letters, lam_fw):
+        """Add the pairing image of one weight; returns the inserted rows as
+        (degree, row) pairs.  Back-substitution in a later `Echelon.add`
+        replaces list entries and never changes these dicts."""
         cell = self.cell
         module = build_module(self.datum, lam_fw)
         dem = demazure_echelon(module, y_letters)
@@ -163,7 +181,7 @@ class IdealLab:
             nu = module.wt_of[next(iter(row))]
             dem_by_weight.setdefault(nu, []).append(row)
         wl = cell.word.element.act_weight(module.lam)
-        grew = False
+        fresh = []
         for h in slices:
             mu = tuple(a + b for a, b in zip(wl, h))
             if mu not in module.weights:
@@ -179,34 +197,39 @@ class IdealLab:
                 xi = DualFunctional(module, xi_row)
                 el = cell.phi_from_dual(xi, vectors)
                 if el and slices[h].add(el):
-                    grew = True
-        return grew
+                    fresh.append((h, slices[h].rows[-1]))
+        return fresh
 
-    def _ideal_closure(self, slices):
+    def _ideal_closure(self, slices, fresh):
         """Close the slices under left and right generator multiplication.
 
         Sound because the graded pairing image already is the two-sided ideal,
-        so products of slice elements with generators stay inside it."""
-        pres = self.pres
-        order = sorted(slices, key=lambda h: (sum(h), h))
-        changed = True
-        while changed:
-            changed = False
-            for h in order:
-                rows = list(slices[h].rows)
-                if not rows:
+        so products of slice elements with generators stay inside it.  The
+        slices were closed before `fresh`, the (degree, row) pairs just
+        inserted, and products are bilinear, so only those rows, and the
+        products they add, need multiplying.  The worklist is a heap ordered
+        by height, then degree, then insertion, so lower degrees are finished
+        first, as in a full pass by height."""
+        pres, betas = self.pres, self.cell.betas
+        heap = []
+        seq = count()
+
+        def push(h, row):
+            heapq.heappush(heap, (sum(h), h, next(seq), row))
+
+        for h, row in fresh:
+            push(h, row)
+        while heap:
+            _, h, _, row = heapq.heappop(heap)
+            for m in range(1, self.l + 1):
+                hh = tuple(a + b for a, b in zip(h, betas[m - 1]))
+                target = slices.get(hh)
+                if target is None:
                     continue
-                for m in range(1, self.l + 1):
-                    hh = tuple(a + b for a, b in zip(h, self.cell.betas[m - 1]))
-                    target = slices.get(hh)
-                    if target is None:
-                        continue
-                    gen = pres.gen(m)
-                    for v in rows:
-                        if target.add(pres.mul(v, gen)):
-                            changed = True
-                        if target.add(pres.mul(gen, v)):
-                            changed = True
+                gen = pres.gen(m)
+                for v in (pres.mul(row, gen), pres.mul(gen, row)):
+                    if target.add(v):
+                        push(hh, target.rows[-1])
         return slices
 
     def _phi_vectors(self, lam_fw, h):
@@ -340,36 +363,47 @@ class IdealLab:
             out["ok"] &= rep["ok"]
         return out
 
-    def verify_main2_ind(self, y_letters, cmp_margin=2):
+    def verify_main2_ind(self, y_letters):
         """One deleting step on the ideal: leading part when the top index is
         outside LP(y), contraction when it is inside; compared slicewise
         against the independently built ideal of the shorter cell."""
-        from .schubert import SchubertCell
         y = self.datum.from_word(tuple(y_letters))
         lp = lp_index_set(self.cell.word, y)
-        sub_cell = SchubertCell(self.datum, self.cell.letters[:-1])
-        sub_lab = IdealLab(sub_cell, self.bound, self.lambda_budget)
+        beta_l = self.cell.betas[self.l - 1]
+        if self.l in lp:
+            case, margin = "contraction", 0
+        else:
+            case, margin = "leading-part", LEADING_PART_MARGIN * sum(beta_l)
+        ht_cap = self.bound - margin
+        if ht_cap < 1:
+            raise BoundError(f"main2-ind for y = {y.render()} ({case} case) "
+                             f"compares no degree at bound {self.bound}; "
+                             f"it needs bound >= {margin + 1}")
         sl = self.slices(tuple(y_letters))
         if not sl.saturated:
             raise UnsaturatedError("long-algebra slices unsaturated")
-        beta_l = self.cell.betas[self.l - 1]
-        case = "contraction" if self.l in lp else "leading-part"
-        if self.l in lp:
-            transformed = self._contract({h: e.copy() for h, e in sl.slices.items()},
-                                         self.l)
+        copies = {h: e.copy() for h, e in sl.slices.items()}
+        if case == "contraction":
+            transformed = self._contract(copies, self.l)
             target_y = (y * self.datum.simple(self.cell.letters[-1])).reduced_word()
-            ht_cap = self.bound
         else:
-            transformed = self._leading_part({h: e.copy() for h, e in sl.slices.items()},
-                                             self.l)
+            transformed = self._leading_part(copies, self.l)
             target_y = tuple(y_letters)
-            ht_cap = self.bound - cmp_margin * sum(beta_l)
+        if self._shorter is None:
+            # one lab of the word without its last letter, shared by every y
+            from .schubert import SchubertCell
+            sub_cell = SchubertCell(self.datum, self.cell.letters[:-1])
+            self._shorter = IdealLab(sub_cell, self.bound, self.lambda_budget)
+        sub_lab = self._shorter
         other = sub_lab.slices(target_y)
+        # most target slices are used once: keeping them all raised the peak
+        # memory of main2-ind on A3 by about 4%
+        del sub_lab._slices[tuple(target_y)]
         if not other.saturated:
             raise UnsaturatedError("short-algebra slices unsaturated")
         mismatches = []
         compared = 0
-        for h, mono_list in sub_lab.degrees().items():
+        for h in sub_lab.degrees():
             mine = transformed.get(h)
             mine_rows = [self._strip_top(r) for r in (mine.rows if mine else [])]
             theirs = other.echelon(h)

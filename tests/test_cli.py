@@ -163,6 +163,12 @@ def test_campaign_isolates_an_engine_failure(tmp_path, capsys):
     ("case = : 1 : main1b", "bad type label ''"),
     ("case = A2 : 1,x : main1b", "comma-separated letters"),
     ("case = A3 : all<=six : main1b", "all<= needs an integer"),
+    ("bound = 0", "bound must be at least 1, got 0"),
+    ("gk_bound = -2", "gk_bound must be at least 1, got -2"),
+    ("normality_bound = 0", "normality_bound must be at least 1, got 0"),
+    ("lambda_budget = 0", "lambda_budget must be at least 1, got 0"),
+    ("length_cap = 0", "length_cap must be at least 1, got 0"),
+    ("case = A3 : all<=0 : main1b", "all<= must be at least 1, got 0"),
 ])
 def test_campaign_rejects_a_bad_config_before_any_check(tmp_path, capsys, line, why):
     cfg = tmp_path / "c.cfg"
@@ -173,3 +179,56 @@ def test_campaign_rejects_a_bad_config_before_any_check(tmp_path, capsys, line, 
     assert "error: line 2: " in captured.err and why in captured.err
     assert "PASS" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--bound", "--lambda-budget"])
+def test_verify_rejects_a_non_positive_setting(capsys, flag):
+    assert main(["verify", "main2", "--type", "A1", "--word", "1", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be at least 1, got 0" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+def test_verify_main2_ind_with_nothing_to_compare_does_not_pass(capsys):
+    assert main(["verify", "main2-ind", "--type", "A2", "--word", "1,2,1",
+                 "--bound", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "compares no degree at bound 1; it needs bound >= 3" in captured.err
+
+
+def test_campaign_shares_one_lab_per_word_and_bound(tmp_path, built_labs):
+    checks = ("main2", "main2-ind", "poset", "gk", "normality")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"case = A2 : 1,2,1 : {','.join(checks)}\n")
+    out = tmp_path / "r.json"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
+    # bounds 6, 8 and 4, and one lab of the shorter word for main2-ind
+    assert len(built_labs) == 4
+    results = {r["check"]: r for r in json.loads(out.read_text())["results"]}
+    for check in checks:
+        alone = tmp_path / f"{check}.json"
+        assert main(["verify", check, "--type", "A2", "--word", "1,2,1",
+                     "--bound", str(results[check]["bound"]),
+                     "--out", str(alone)]) == 0
+        assert json.loads(alone.read_text()) == results[check]["report"], check
+
+
+def test_drivers_leave_shared_slices_unchanged():
+    import copy
+    from qschub.cli import _verify_one
+    from qschub.ideals import IdealLab
+    from qschub.schubert import schubert_cell
+
+    def state(sl):
+        return (sl.bound, sl.saturated, sl.lambdas_used, sl.dims_ambient,
+                {h: (e.pivots, e.rows) for h, e in sl.slices.items()})
+
+    lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 6)
+    for y in lab.datum.lower_interval(lab.cell.word.element):
+        lab.slices(y.reduced_word())
+    before = copy.deepcopy({y: state(sl) for y, sl in lab._slices.items()})
+    for check in ("main2", "main2-ind", "poset", "normality"):
+        rep, ok = _verify_one(check, "A2", (1, 2, 1), 6, 12, {6: lab})
+        assert ok, check
+    assert {y: state(sl) for y, sl in lab._slices.items()} == before

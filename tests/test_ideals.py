@@ -48,17 +48,68 @@ def test_zero_and_augmentation_ideals_a2(a2lab):
         assert aug.dim(h) == want
 
 
+def _interval(lab):
+    return sorted(lab.datum.lower_interval(lab.cell.word.element),
+                  key=lambda u: (u.length, u.render()))
+
+
 def test_slices_are_ideal_closed(a2lab):
     pres = a2lab.pres
-    sl = a2lab.slices((1,))
-    for h, ech in sl.slices.items():
-        for row in ech.rows:
-            for m in range(1, 4):
-                hh = tuple(a + b for a, b in zip(h, a2lab.cell.betas[m - 1]))
-                if sum(hh) > a2lab.bound:
-                    continue
-                assert sl.contains(hh, pres.mul(row, pres.gen(m)))
-                assert sl.contains(hh, pres.mul(pres.gen(m), row))
+    for y in _interval(a2lab):
+        sl = a2lab.slices(y.reduced_word())
+        for h, ech in sl.slices.items():
+            for row in ech.rows:
+                for m in range(1, 4):
+                    hh = tuple(a + b for a, b in zip(h, a2lab.cell.betas[m - 1]))
+                    if sum(hh) > a2lab.bound:
+                        continue
+                    assert sl.contains(hh, pres.mul(row, pres.gen(m))), y.render()
+                    assert sl.contains(hh, pres.mul(pres.gen(m), row)), y.render()
+
+
+class FullPassLab(IdealLab):
+    """Reference closure: pass over every row of every slice, by height, until
+    a whole pass adds nothing."""
+
+    def _ideal_closure(self, slices, fresh):
+        pres = self.pres
+        order = sorted(slices, key=lambda h: (sum(h), h))
+        changed = True
+        while changed:
+            changed = False
+            for h in order:
+                rows = list(slices[h].rows)
+                for m in range(1, self.l + 1):
+                    hh = tuple(a + b for a, b in zip(h, self.cell.betas[m - 1]))
+                    target = slices.get(hh)
+                    if target is None:
+                        continue
+                    gen = pres.gen(m)
+                    for v in rows:
+                        changed |= target.add(pres.mul(v, gen))
+                        changed |= target.add(pres.mul(gen, v))
+        return slices
+
+
+def _by_pivot(sl):
+    return {h: sorted(zip(e.pivots, e.rows), key=lambda pr: pr[0])
+            for h, e in sl.slices.items()}
+
+
+@pytest.mark.parametrize("label, word, bound, ys", [
+    ("A2", (1, 2, 1), 6, None),
+    ("B2", (1, 2, 1, 2), 6, None),
+    ("A3", (1, 2, 1, 3, 2, 1), 5, [(3,), (2, 1), (1, 3, 2), (1, 2, 1, 3, 2, 1)]),
+], ids=["A2", "B2", "A3"])
+def test_worklist_closure_matches_full_passes(label, word, bound, ys):
+    cell = schubert_cell(label, word)
+    lab, ref = IdealLab(cell, bound), FullPassLab(cell, bound)
+    if ys is None:
+        ys = [y.reduced_word() for y in _interval(lab)]
+    for y in ys:
+        got, want = lab.slices(y), ref.slices(y)
+        assert (got.saturated, got.lambdas_used) == (want.saturated, want.lambdas_used)
+        assert _by_pivot(got) == _by_pivot(want), y
 
 
 def test_membership_criterion_top_root_vector(a2lab):
@@ -125,12 +176,26 @@ def test_main2_ind_b2():
     assert kinds.count("contraction") == 2  # l=4 sits in LP only above s2.s1.s2
 
 
-def test_main2_ind_a3_full_interval():
+def test_main2_ind_a3_full_interval(built_labs):
     lab = IdealLab(schubert_cell("A3", (1, 2, 1, 3, 2, 1)), 5)
     rep = lab.verify_main2_ind_all()
     assert rep["ok"]
     kinds = [c["case"] for c in rep["cases"]]
     assert kinds.count("contraction") == 6  # y with 6 in LP(y)
+    # one lab for the long word and one for the shorter word, shared by all 24 y
+    assert len(built_labs) == 2
+
+
+def test_main2_ind_refuses_a_bound_that_compares_nothing():
+    # at bound 2 the leading-part case of A2 1,2,1 (ht beta_3 = 1) would
+    # compare only degree 0, and report "ok" without a comparison
+    lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 2)
+    with pytest.raises(BoundError, match=r"y = e \(leading-part case\).* "
+                                         r"bound 2; it needs bound >= 3"):
+        lab.verify_main2_ind_all()
+    with pytest.raises(BoundError, match="needs bound >= 1"):
+        IdealLab(schubert_cell("A2", (1, 2, 1)), 0).verify_main2_ind((2, 1))
+    assert IdealLab(schubert_cell("A2", (1, 2, 1)), 3).verify_main2_ind_all()["ok"]
 
 
 def test_main2_a3_full_interval():
