@@ -6,8 +6,8 @@ requested check passes, 1 on a verification failure, 2 on precondition
 violations such as a non-reduced word, an unsupported type or a bound,
 budget or length cap below 1.
 
-Campaign configs are flat `key = value` text; repeated `case` keys list the
-work items as `TYPE : word : checks`, where word is comma-separated letters
+Campaign configs are flat `key = value` text; repeated `case` keys, at least
+one, list the work items as `TYPE : word : checks`, where word is comma-separated letters
 or the token all<=N for every reduced word of length at most N.  Reports are
 canonically sorted JSON, so re-running a campaign reproduces them bit for bit.
 """
@@ -210,7 +210,8 @@ def cmd_verify(args):
 def parse_config(text):
     """Parse a campaign config, validating every line before any check runs.
 
-    Values stay text; a PreconditionError names the first bad line."""
+    Values stay text; a PreconditionError names the first bad line, or the
+    missing `case` line of a config that would run nothing."""
     cfg = {"cases": []}
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -231,6 +232,9 @@ def parse_config(text):
             cfg[key] = value
         except PreconditionError as exc:
             raise PreconditionError(f"line {n}: {exc}") from None
+    if not cfg["cases"]:
+        raise PreconditionError("no case line: a campaign needs at least one "
+                                "'case = TYPE : word : checks'")
     return cfg
 
 

@@ -17,6 +17,14 @@ then degree, then insertion, so each degree is finished before any higher
 one.  The fully reduced echelon of a span is canonical, so the slices do not
 depend on the order in which rows arrive.
 
+A slice is full when its dimension is the number of PBW monomials of its
+degree: it spans that whole degree, so no insert can change it.  The sweep
+and the closure skip every pairing image and product bound for a full slice,
+and the contraction and leading part write the result of a full slice as
+unit vectors.  Exact, because whether a slice is full depends only on its
+span and every skipped insert would have been refused: the inserted rows,
+the saturation streak and every canonical echelon stay the same.
+
 Slices are the only ideal representation: membership is row reduction, the
 Cauchon diagram is computed by the leading-part/contraction recursion, and
 the slice-inclusion poset, normality exponents, and graded-growth fits all
@@ -31,6 +39,7 @@ from .qscalar import ONE, qpow
 from .linalg import Echelon, accumulate, nullspace
 from .pbw import EngineError
 from .modules import build_module, demazure_echelon, DualFunctional, root_coords
+from .schubert import schubert_cell
 from .subwords import lp_index_set
 
 __all__ = ["IdealLab", "UnsaturatedError", "BoundError"]
@@ -169,10 +178,26 @@ class IdealLab:
         self._slices[key] = hit
         return hit
 
+    def _full(self, ech, h):
+        """Whether the slice ech at degree h spans every monomial of degree h."""
+        return len(ech) == len(self.degrees()[h])
+
+    def _free_units(self, h, t):
+        """The unit vectors of the x_t-free monomials of degree h, as an echelon."""
+        ech = Echelon()
+        for mono in self.degrees()[h]:
+            if not mono[t - 1]:
+                ech.add({mono: ONE})
+        return ech
+
     def _add_weight(self, slices, y_letters, lam_fw):
         """Add the pairing image of one weight; returns the inserted rows as
         (degree, row) pairs.  Back-substitution in a later `Echelon.add`
-        replaces list entries and never changes these dicts."""
+        replaces list entries and never changes these dicts.
+
+        Only the degrees h = mu - w(lam), mu a weight of V(lam), can receive
+        anything.  A full slice is skipped before the Demazure complement and
+        the pairing image are computed: each insert into it would be refused."""
         cell = self.cell
         module = build_module(self.datum, lam_fw)
         dem = demazure_echelon(module, y_letters)
@@ -181,10 +206,13 @@ class IdealLab:
             nu = module.wt_of[next(iter(row))]
             dem_by_weight.setdefault(nu, []).append(row)
         wl = cell.word.element.act_weight(module.lam)
+        # mu - w(lam) lies in the root lattice, so its coordinates are integers
+        weight_at = {tuple(int(a - b) for a, b in zip(mu, wl)): mu
+                     for mu in module.weights}
         fresh = []
         for h in slices:
-            mu = tuple(a + b for a, b in zip(wl, h))
-            if mu not in module.weights:
+            mu = weight_at.get(h)
+            if mu is None or self._full(slices[h], h):
                 continue
             idxs = module.weights[mu]
             rows = [{i: r[i] for i in r if i in idxs}
@@ -209,7 +237,8 @@ class IdealLab:
         inserted, and products are bilinear, so only those rows, and the
         products they add, need multiplying.  The worklist is a heap ordered
         by height, then degree, then insertion, so lower degrees are finished
-        first, as in a full pass by height."""
+        first, as in a full pass by height.  No product is formed for a full
+        target slice, which would refuse it."""
         pres, betas = self.pres, self.cell.betas
         heap = []
         seq = count()
@@ -224,7 +253,7 @@ class IdealLab:
             for m in range(1, self.l + 1):
                 hh = tuple(a + b for a, b in zip(h, betas[m - 1]))
                 target = slices.get(hh)
-                if target is None:
+                if target is None or self._full(target, hh):
                     continue
                 gen = pres.gen(m)
                 for v in (pres.mul(row, gen), pres.mul(gen, row)):
@@ -255,7 +284,7 @@ class IdealLab:
     def cauchon_diagram(self, slice_set, require_saturated=True):
         if require_saturated and not slice_set.saturated:
             raise UnsaturatedError("slice construction did not saturate")
-        slices = {h: ech.copy() for h, ech in slice_set.slices.items()}
+        slices = slice_set.slices
         diagram = set()
         for t in range(self.l, 0, -1):
             beta = self.cell.betas[t - 1]
@@ -283,9 +312,15 @@ class IdealLab:
         return out
 
     def _contract(self, slices, t):
-        """{v in J_h : v free of x_t}, an exact slice-level contraction."""
+        """{v in J_h : v free of x_t}, an exact slice-level contraction.
+
+        The slices are only read.  A full slice contracts to the unit vectors
+        of its x_t-free monomials, with no elimination."""
         out = {}
         for h, ech in slices.items():
+            if self._full(ech, h):
+                out[h] = self._free_units(h, t)
+                continue
             rows = ech.rows
             target = Echelon()
             if rows:
@@ -305,17 +340,25 @@ class IdealLab:
         return out
 
     def _leading_part(self, slices, t):
-        """lt(J) with respect to x_t: top x_t-coefficients, degreewise."""
+        """lt(J) with respect to x_t: top x_t-coefficients, degreewise.
+
+        The slices are only read.  The layers m of degree hp stop once the
+        result spans every x_t-free monomial of degree hp; a full slice at
+        hp + m*beta_t gives all of them at once, as unit vectors."""
         beta = self.cell.betas[t - 1]
         out = {}
         for hp in self.degrees():
+            n_free = sum(1 for mono in self.degrees()[hp] if not mono[t - 1])
             target = Echelon()
             m = 0
-            while True:
+            while len(target) < n_free:
                 h = tuple(a + m * b for a, b in zip(hp, beta))
                 if sum(h) > self.bound:
                     break
                 ech = slices.get(h)
+                if ech is not None and self._full(ech, h):
+                    target = self._free_units(hp, t)
+                    break
                 if ech is not None and len(ech):
                     rows = ech.rows
                     # combinations with x_t-degree <= m, then the x_t^m layer
@@ -382,17 +425,16 @@ class IdealLab:
         sl = self.slices(tuple(y_letters))
         if not sl.saturated:
             raise UnsaturatedError("long-algebra slices unsaturated")
-        copies = {h: e.copy() for h, e in sl.slices.items()}
         if case == "contraction":
-            transformed = self._contract(copies, self.l)
+            transformed = self._contract(sl.slices, self.l)
             target_y = (y * self.datum.simple(self.cell.letters[-1])).reduced_word()
         else:
-            transformed = self._leading_part(copies, self.l)
+            transformed = self._leading_part(sl.slices, self.l)
             target_y = tuple(y_letters)
         if self._shorter is None:
-            # one lab of the word without its last letter, shared by every y
-            from .schubert import SchubertCell
-            sub_cell = SchubertCell(self.datum, self.cell.letters[:-1])
+            # one lab of the word without its last letter, shared by every y;
+            # the cell comes from the cache other checks of that word use
+            sub_cell = schubert_cell(self.datum.label, self.cell.letters[:-1])
             self._shorter = IdealLab(sub_cell, self.bound, self.lambda_budget)
         sub_lab = self._shorter
         other = sub_lab.slices(target_y)

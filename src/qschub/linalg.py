@@ -95,12 +95,6 @@ class Echelon:
             grew |= self.add(v)
         return grew
 
-    def copy(self):
-        e = Echelon()
-        e.rows = [dict(r) for r in self.rows]
-        e.pivots = list(self.pivots)
-        return e
-
 
 def solve_columns(columns, target):
     """Solve sum_i c_i * columns[i] = target exactly.

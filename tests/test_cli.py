@@ -232,3 +232,51 @@ def test_drivers_leave_shared_slices_unchanged():
         rep, ok = _verify_one(check, "A2", (1, 2, 1), 6, 12, {6: lab})
         assert ok, check
     assert {y: state(sl) for y, sl in lab._slices.items()} == before
+
+
+def test_campaign_rejects_a_config_with_no_case(tmp_path, capsys):
+    # a config with no case line ran nothing and printed PASS (0 checks)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("bound = 6\n")
+    out = tmp_path / "r.json"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: no case line" in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
+
+
+def test_campaign_extracts_each_presentation_once(tmp_path, monkeypatch):
+    # main2-ind's shorter word 2,1 is the cell main1b already built
+    from qschub import schubert
+    monkeypatch.setattr(schubert.schubert_cell, "__defaults__", ({},))
+    extracted = []
+    presentation = schubert.SchubertCell.presentation
+
+    def counted(self):
+        if self._presentation is None:
+            extracted.append(self.letters)
+        return presentation(self)
+
+    monkeypatch.setattr(schubert.SchubertCell, "presentation", counted)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = A2 : 2,1 : main1b\n"
+                   "case = A2 : 2,1,2 : main2-ind\n")
+    assert main(["campaign", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert extracted.count((2, 1)) == 1
+
+
+def test_python_m_qschub_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "qschub", "roots", "--type", "A2",
+                           "--word", "1,2,1"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
