@@ -11,11 +11,13 @@ tried (weights fixed by y contribute nothing); the saturation flag records
 whether the rule fired inside the weight budget.
 
 The closure is semi-naive: the slices are closed after every weight, so only
-the rows a weight just inserted, and the rows their products insert in turn,
-are multiplied by the generators.  They wait on a heap ordered by height,
-then degree, then insertion, so each degree is finished before any higher
-one.  The fully reduced echelon of a span is canonical, so the slices do not
-depend on the order in which rows arrive.
+the span of the rows inserted since, by the weight or by products, is
+multiplied by the generators.  The degrees that received rows wait on a heap
+ordered by height, then degree.  A product lands at a greater height, so a
+popped degree is final for this closure, and its current reduced rows at the
+pivots inserted in this closure are multiplied: most of them are unit rows,
+a single monomial with coefficient 1.  The fully reduced echelon of a span
+is canonical, so the slices do not depend on the order in which rows arrive.
 
 A slice is full when its dimension is the number of PBW monomials of its
 degree: it spans that whole degree, so no insert can change it.  The sweep
@@ -28,12 +30,13 @@ the saturation streak and every canonical echelon stay the same.
 Slices are the only ideal representation: membership is row reduction, the
 Cauchon diagram is computed by the leading-part/contraction recursion, and
 the slice-inclusion poset, normality exponents, and graded-growth fits all
-read the same data.
+read the same data.  The recursion transforms only the degrees that its
+later steps read, and main2-ind only the degrees of the shorter algebra,
+which are the ones it compares.
 """
 
 import heapq
 from fractions import Fraction
-from itertools import count
 
 from .qscalar import ONE, qpow
 from .linalg import Echelon, accumulate, nullspace
@@ -59,7 +62,8 @@ class BoundError(EngineError):
 
 
 class GradedIdealSlices:
-    def __init__(self, bound, saturated, lambdas_used, slices, dims_ambient):
+    def __init__(self, y, bound, saturated, lambdas_used, slices, dims_ambient):
+        self.y = y                    # the Weyl group element of the ideal
         self.bound = bound
         self.saturated = saturated
         self.lambdas_used = lambdas_used
@@ -173,7 +177,7 @@ class IdealLab:
             if streak >= 2 and len(used) >= self.datum.rank + 2:
                 saturated = True
                 break
-        hit = GradedIdealSlices(self.bound, saturated, used, slices,
+        hit = GradedIdealSlices(y, self.bound, saturated, used, slices,
                                 {h: len(m) for h, m in degrees.items()})
         self._slices[key] = hit
         return hit
@@ -191,9 +195,8 @@ class IdealLab:
         return ech
 
     def _add_weight(self, slices, y_letters, lam_fw):
-        """Add the pairing image of one weight; returns the inserted rows as
-        (degree, row) pairs.  Back-substitution in a later `Echelon.add`
-        replaces list entries and never changes these dicts.
+        """Add the pairing image of one weight; returns the (degree, pivot)
+        pairs of the rows it inserted.
 
         Only the degrees h = mu - w(lam), mu a weight of V(lam), can receive
         anything.  A full slice is skipped before the Demazure complement and
@@ -225,7 +228,7 @@ class IdealLab:
                 xi = DualFunctional(module, xi_row)
                 el = cell.phi_from_dual(xi, vectors)
                 if el and slices[h].add(el):
-                    fresh.append((h, slices[h].rows[-1]))
+                    fresh.append((h, slices[h].pivots[-1]))
         return fresh
 
     def _ideal_closure(self, slices, fresh):
@@ -233,32 +236,43 @@ class IdealLab:
 
         Sound because the graded pairing image already is the two-sided ideal,
         so products of slice elements with generators stay inside it.  The
-        slices were closed before `fresh`, the (degree, row) pairs just
-        inserted, and products are bilinear, so only those rows, and the
-        products they add, need multiplying.  The worklist is a heap ordered
-        by height, then degree, then insertion, so lower degrees are finished
-        first, as in a full pass by height.  No product is formed for a full
-        target slice, which would refuse it."""
+        slices were closed before `fresh`, the (degree, pivot) pairs just
+        inserted, and products are bilinear, so only the span of the rows
+        inserted in this run needs multiplying.  The worklist holds degrees
+        ordered by height, then degree.  Every product lands at a greater
+        height, so a popped degree is final for this run: its current reduced
+        rows at the pivots inserted in this run span the inserted rows modulo
+        the part closed before, and only they are multiplied.  No product is
+        formed for a full target slice, which would refuse it."""
         pres, betas = self.pres, self.cell.betas
+        inserted = {}       # degree -> pivots inserted in this run
         heap = []
-        seq = count()
 
-        def push(h, row):
-            heapq.heappush(heap, (sum(h), h, next(seq), row))
+        def note(h, piv):
+            if h not in inserted:
+                inserted[h] = set()
+                heapq.heappush(heap, (sum(h), h))
+            inserted[h].add(piv)
 
-        for h, row in fresh:
-            push(h, row)
+        for h, piv in fresh:
+            note(h, piv)
         while heap:
-            _, h, _, row = heapq.heappop(heap)
+            _, h = heapq.heappop(heap)
+            pivs = inserted.pop(h)
+            ech = slices[h]
+            rows = [row for piv, row in zip(ech.pivots, ech.rows) if piv in pivs]
             for m in range(1, self.l + 1):
                 hh = tuple(a + b for a, b in zip(h, betas[m - 1]))
                 target = slices.get(hh)
-                if target is None or self._full(target, hh):
+                if target is None:
                     continue
                 gen = pres.gen(m)
-                for v in (pres.mul(row, gen), pres.mul(gen, row)):
-                    if target.add(v):
-                        push(hh, target.rows[-1])
+                for row in rows:
+                    if self._full(target, hh):
+                        break
+                    for v in (pres.mul(row, gen), pres.mul(gen, row)):
+                        if target.add(v):
+                            note(hh, target.pivots[-1])
         return slices
 
     def _phi_vectors(self, lam_fw, h):
@@ -281,24 +295,52 @@ class IdealLab:
 
     # -- Cauchon diagram recursion ---------------------------------------------------
 
-    def cauchon_diagram(self, slice_set, require_saturated=True):
-        if require_saturated and not slice_set.saturated:
-            raise UnsaturatedError("slice construction did not saturate")
+    def _require_saturated(self, slice_set, which="slices"):
+        if not slice_set.saturated:
+            tried = ", ".join(map(str, slice_set.lambdas_used))
+            raise UnsaturatedError(
+                f"{which} of y = {slice_set.y.render()} did not saturate within "
+                f"the lambda budget {self.lambda_budget}; weights tried: {tried}")
+
+    def cauchon_diagram(self, slice_set):
+        """The Cauchon diagram by the deleting-derivations recursion on the
+        ideal: for t = l down to 1, t is in the diagram when x_t lies in the
+        current ideal, which is then contracted by x_t; otherwise it is
+        replaced by its leading part with respect to x_t.
+
+        Step t reads the slice at beta_t, and its transform reads the degrees
+        hp + m*beta_t of the degrees hp that step t-1 reads.  So the degree
+        sets need[t] are computed backward from need[0] = {}, and each
+        transform is formed only on the degrees the next step reads."""
+        self._require_saturated(slice_set)
+        betas = [tuple(b) for b in self.cell.betas]
+        degrees = self.degrees()
+        need = [set()]
+        for beta in betas:
+            cur = {beta} & degrees.keys()
+            for h in need[-1]:
+                while h in degrees:
+                    cur.add(h)
+                    h = tuple(a + b for a, b in zip(h, beta))
+            need.append(cur)
         slices = slice_set.slices
         diagram = set()
         for t in range(self.l, 0, -1):
-            beta = self.cell.betas[t - 1]
-            h_pivot = tuple(beta)
+            h_pivot = betas[t - 1]
             if sum(h_pivot) > self.bound:
-                raise BoundError("pivot degree outside bound")
+                raise BoundError(
+                    f"the Cauchon diagram of y = {slice_set.y.render()} needs "
+                    f"the degree of beta_{t}, of height {sum(h_pivot)}, beyond "
+                    f"the bound {self.bound}; it needs bound >= "
+                    f"{max(map(sum, betas))}")
             pivot_mono = tuple(1 if i == t - 1 else 0 for i in range(self.l))
             ech = slices.get(h_pivot)
             pivot_in = ech is not None and ech.contains({pivot_mono: ONE})
             if pivot_in:
                 diagram.add(t)
-                slices = self._contract(slices, t)
+                slices = self._contract(slices, t, need[t - 1])
             else:
-                slices = self._leading_part(slices, t)
+                slices = self._leading_part(slices, t, need[t - 1])
         return frozenset(diagram)
 
     def _combo_elements(self, rows, coeffs_list):
@@ -311,13 +353,15 @@ class IdealLab:
                 out.append(el)
         return out
 
-    def _contract(self, slices, t):
-        """{v in J_h : v free of x_t}, an exact slice-level contraction.
+    def _contract(self, slices, t, degrees):
+        """{v in J_h : v free of x_t} for each h in degrees, an exact
+        slice-level contraction; it reads the slices at those degrees only.
 
         The slices are only read.  A full slice contracts to the unit vectors
         of its x_t-free monomials, with no elimination."""
         out = {}
-        for h, ech in slices.items():
+        for h in degrees:
+            ech = slices[h]
             if self._full(ech, h):
                 out[h] = self._free_units(h, t)
                 continue
@@ -339,15 +383,16 @@ class IdealLab:
             out[h] = target
         return out
 
-    def _leading_part(self, slices, t):
-        """lt(J) with respect to x_t: top x_t-coefficients, degreewise.
+    def _leading_part(self, slices, t, degrees):
+        """lt(J) with respect to x_t: top x_t-coefficients, at each degree hp
+        in degrees; it reads the slices at the degrees hp + m*beta_t only.
 
         The slices are only read.  The layers m of degree hp stop once the
         result spans every x_t-free monomial of degree hp; a full slice at
         hp + m*beta_t gives all of them at once, as unit vectors."""
         beta = self.cell.betas[t - 1]
         out = {}
-        for hp in self.degrees():
+        for hp in degrees:
             n_free = sum(1 for mono in self.degrees()[hp] if not mono[t - 1])
             target = Echelon()
             m = 0
@@ -423,26 +468,25 @@ class IdealLab:
                              f"compares no degree at bound {self.bound}; "
                              f"it needs bound >= {margin + 1}")
         sl = self.slices(tuple(y_letters))
-        if not sl.saturated:
-            raise UnsaturatedError("long-algebra slices unsaturated")
-        if case == "contraction":
-            transformed = self._contract(sl.slices, self.l)
-            target_y = (y * self.datum.simple(self.cell.letters[-1])).reduced_word()
-        else:
-            transformed = self._leading_part(sl.slices, self.l)
-            target_y = tuple(y_letters)
+        self._require_saturated(sl, "long-algebra slices")
         if self._shorter is None:
             # one lab of the word without its last letter, shared by every y;
             # the cell comes from the cache other checks of that word use
             sub_cell = schubert_cell(self.datum.label, self.cell.letters[:-1])
             self._shorter = IdealLab(sub_cell, self.bound, self.lambda_budget)
         sub_lab = self._shorter
+        # only the degrees of the shorter algebra are compared
+        if case == "contraction":
+            transformed = self._contract(sl.slices, self.l, sub_lab.degrees())
+            target_y = (y * self.datum.simple(self.cell.letters[-1])).reduced_word()
+        else:
+            transformed = self._leading_part(sl.slices, self.l, sub_lab.degrees())
+            target_y = tuple(y_letters)
         other = sub_lab.slices(target_y)
         # most target slices are used once: keeping them all raised the peak
         # memory of main2-ind on A3 by about 4%
         del sub_lab._slices[tuple(target_y)]
-        if not other.saturated:
-            raise UnsaturatedError("short-algebra slices unsaturated")
+        sub_lab._require_saturated(other, "short-algebra slices")
         mismatches = []
         compared = 0
         for h in sub_lab.degrees():

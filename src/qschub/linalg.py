@@ -4,6 +4,11 @@ Vectors are dicts {column_key: Scalar} with zero entries absent.  Column keys
 are any sortable hashables (ints, tuples); all pivoting is deterministic:
 columns are visited in sorted order, and among candidate rows the one whose
 pivot entry has the fewest terms wins (ties broken by insertion order).
+
+An `Echelon` keeps its rows fully reduced, so a row is zero at every pivot
+but its own.  A unit row, a single key with coefficient 1, therefore only
+deletes its pivot key from a vector it reduces, and `reduce` does just that,
+with no Scalar arithmetic.
 """
 
 from .qscalar import ZERO, ONE
@@ -66,7 +71,10 @@ class Echelon:
         for piv, row in zip(self.pivots, self.rows):
             c = v.get(piv)
             if c is not None and not c.is_zero():
-                accumulate(v, row, -c)
+                if len(row) == 1:
+                    del v[piv]
+                else:
+                    accumulate(v, row, -c)
         return v
 
     def add(self, v):
@@ -75,8 +83,8 @@ class Echelon:
         if not r:
             return False
         piv = min(r, key=lambda k: (k if isinstance(k, tuple) else (k,)))
-        c = r[piv]
-        r = vec_scale(r, c.inverse())
+        # a single-key residual normalises to a unit row with no inverse
+        r = {piv: ONE} if len(r) == 1 else vec_scale(r, r[piv].inverse())
         # back-substitute into existing rows to keep them fully reduced
         for i, row in enumerate(self.rows):
             x = row.get(piv)

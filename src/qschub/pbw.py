@@ -222,6 +222,11 @@ class Presentation:
     # -- multiplication ---------------------------------------------------------
 
     def mul(self, e1, e2):
+        if len(e1) == 1 and len(e2) == 1:
+            # a copy of the memoised monomial product, scaled unless c1*c2 is 1
+            (m1, c1), = e1.items()
+            (m2, c2), = e2.items()
+            return vec_scale(self._mul_mono(m1, m2), c1 * c2)
         out = {}
         for m2, c2 in e2.items():
             for m1, c1 in e1.items():

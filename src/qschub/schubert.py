@@ -54,6 +54,7 @@ class SchubertCell:
         self.d_of = tuple(datum.d[i - 1] for i in self.letters)
         self.lambda_budget = lambda_budget
         self._ops = {}
+        self._prefactors = {}
         self._presentation = None
         self._minors = {}
         self._extraction_modules = None
@@ -69,9 +70,14 @@ class SchubertCell:
         return qpow(-d) - qpow(d)
 
     def pair_prefactor(self, j, m):
-        d = self.d_of[j - 1]
-        return (self.q_alpha_diff(j) ** m) * qpow(-d * (m * (m - 1) // 2)) \
-            / q_factorial(m, d)
+        key = (j, m)
+        hit = self._prefactors.get(key)
+        if hit is None:
+            d = self.d_of[j - 1]
+            hit = (self.q_alpha_diff(j) ** m) * qpow(-d * (m * (m - 1) // 2)) \
+                / q_factorial(m, d)
+            self._prefactors[key] = hit
+        return hit
 
     def degs(self):
         return [tuple(-x for x in b) for b in self.betas]
@@ -79,23 +85,28 @@ class SchubertCell:
     # -- module operator packs -------------------------------------------------
 
     def ops(self, lam_fw):
-        """Cached operators on V(lam): F_{beta_j}, tauE_{beta_j}, u_w."""
+        """Cached operators on V(lam): F_{beta_j}, tauE_{beta_j}, u_w.
+
+        With a_1 ... a_{j-1} the prefix before letter j, F_{beta_j} is
+        F_{a_j} conjugated by T = T_{a_1} ... T_{a_{j-1}}, and tauE_{beta_j}
+        is E_{a_j} conjugated by T_{a_{j-1}} ... T_{a_1}.  Both products and
+        their inverses grow by one letter per j."""
         key = tuple(lam_fw)
         hit = self._ops.get(key)
         if hit is not None:
             return hit
         module = build_module(self.datum, lam_fw)
+        fwd = bwd = rev = rev_inv = {(t, t): ONE for t in range(module.dim)}
         fmats, emats = [], []
-        for j in range(1, self.l + 1):
-            prefix = self.letters[:j - 1]
-            fwd = module.braid_word_matrix(prefix)
-            bwd = module.braid_word_matrix(prefix, invert=True)
-            letter = self.letters[j - 1]
+        for j, letter in enumerate(self.letters):
+            if j:
+                prev = self.letters[j - 1]
+                t_prev = module.braid_matrix(prev)
+                t_prev_inv = module.braid_matrix(prev, invert=True)
+                fwd, bwd = mat_mul(fwd, t_prev), mat_mul(t_prev_inv, bwd)
+                rev, rev_inv = mat_mul(t_prev, rev), mat_mul(rev_inv, t_prev_inv)
             fmats.append(mat_mul(mat_mul(fwd, module.F[letter]), bwd))
-            rev = tuple(reversed(prefix))
-            conj = module.braid_word_matrix(rev)
-            conj_inv = module.braid_word_matrix(rev, invert=True)
-            emats.append(mat_mul(mat_mul(conj_inv, module.E[letter]), conj))
+            emats.append(mat_mul(mat_mul(rev_inv, module.E[letter]), rev))
         u_w = module.tminus_winv_vector(self.letters)
         hit = {"module": module, "F": fmats, "tauE": emats, "u_w": u_w}
         self._ops[key] = hit

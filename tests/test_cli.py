@@ -154,6 +154,13 @@ def test_campaign_isolates_an_engine_failure(tmp_path, capsys):
     assert "FAIL main2 A2 1,2,1: " in capsys.readouterr().out
 
 
+def test_unsaturated_sweep_names_y_budget_and_weights(capsys):
+    assert main(["verify", "main2", "--type", "A2", "--word", "1,2,1",
+                 "--lambda-budget", "1"]) == 1
+    assert ("slices of y = e did not saturate within the lambda budget 1; "
+            "weights tried: (1, 0)") in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line, why", [
     ("bownd = 1", "unknown key 'bownd'"),
     ("bound = six", "bound needs an integer, got 'six'"),

@@ -122,7 +122,8 @@ def test_worklist_closure_matches_full_passes(label, word, bound, ys):
 
 class NoShortcutLab(IdealLab):
     """Reference sweep, closure and transforms that do every insert and
-    elimination, full slices included."""
+    elimination, full slices included, and a Cauchon recursion that
+    transforms every degree at every step."""
 
     def _add_weight(self, slices, y_letters, lam_fw):
         """Add the pairing image of one weight; returns the inserted rows as
@@ -186,6 +187,26 @@ class NoShortcutLab(IdealLab):
                     if target.add(v):
                         push(hh, target.rows[-1])
         return slices
+
+    def cauchon_diagram(self, slice_set, require_saturated=True):
+        if require_saturated and not slice_set.saturated:
+            raise UnsaturatedError("slice construction did not saturate")
+        slices = slice_set.slices
+        diagram = set()
+        for t in range(self.l, 0, -1):
+            beta = self.cell.betas[t - 1]
+            h_pivot = tuple(beta)
+            if sum(h_pivot) > self.bound:
+                raise BoundError("pivot degree outside bound")
+            pivot_mono = tuple(1 if i == t - 1 else 0 for i in range(self.l))
+            ech = slices.get(h_pivot)
+            pivot_in = ech is not None and ech.contains({pivot_mono: ONE})
+            if pivot_in:
+                diagram.add(t)
+                slices = self._contract(slices, t)
+            else:
+                slices = self._leading_part(slices, t)
+        return frozenset(diagram)
 
     def _contract(self, slices, t):
         """{v in J_h : v free of x_t}, an exact slice-level contraction."""
@@ -251,10 +272,11 @@ def test_full_slice_shortcuts_change_nothing(label, word, bound, ys):
         got, want = lab.slices(y), ref.slices(y)
         assert (got.saturated, got.lambdas_used) == (want.saturated, want.lambdas_used)
         assert _by_pivot(got.slices) == _by_pivot(want.slices), y
+        degrees = lab.degrees()
         for t in range(1, lab.l + 1):
-            assert (_by_pivot(lab._contract(got.slices, t))
+            assert (_by_pivot(lab._contract(got.slices, t, degrees))
                     == _by_pivot(ref._contract(want.slices, t))), (y, t)
-            assert (_by_pivot(lab._leading_part(got.slices, t))
+            assert (_by_pivot(lab._leading_part(got.slices, t, degrees))
                     == _by_pivot(ref._leading_part(want.slices, t))), (y, t)
         assert lab.cauchon_diagram(got) == ref.cauchon_diagram(want), y
 
@@ -286,6 +308,17 @@ def test_membership_of_zero_and_bound_error(a2lab):
     pres = a2lab.pres
     with pytest.raises(BoundError):
         a2lab.membership(pres.gen(2, 4), sl)  # height 8 exceeds bound 6
+
+
+def test_cauchon_bound_error_names_y_t_and_the_bound_needed():
+    # beta_2 = alpha_1 + alpha_2 has height 2, beyond bound 1; step t = 3
+    # (beta_3 = alpha_2, height 1) runs first
+    lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 1)
+    assert lab.slices((1,)).saturated
+    with pytest.raises(BoundError, match=r"y = s1 needs the degree of beta_2, "
+                                         r"of height 2, beyond the bound 1; "
+                                         r"it needs bound >= 2$"):
+        lab.verify_main2((1,))
 
 
 def test_main2_all_a2(a2lab):

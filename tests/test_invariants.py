@@ -69,7 +69,7 @@ def test_phi_l_localised_ideal_identity():
     pres = lab.pres.with_pivot(3)
     for y_letters in [(1,), (2,), (1, 2)]:
         sl = lab.slices(y_letters)
-        lt = lab._leading_part(sl.slices, 3)
+        lt = lab._leading_part(sl.slices, 3, lab.degrees())
         checked = 0
         for h, ech in lt.items():
             for row in ech.rows:
@@ -185,7 +185,7 @@ def test_leading_part_left_right_conventions_agree():
     pres = lab.pres
     for y_letters in [(1,), (2,), (1, 2)]:
         sl = lab.slices(y_letters)
-        lt = lab._leading_part(sl.slices, 3)
+        lt = lab._leading_part(sl.slices, 3, lab.degrees())
         seen = 0
         for h, ech in lt.items():
             for row in ech.rows:

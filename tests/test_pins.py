@@ -1,8 +1,8 @@
 """The benchmark's pinned report hashes, checked in Tier-1.
 
-Runs the desk config and the seed-0 ideal-slices config through `cli.main` and
-compares each report's sha256 with `perfbench/pinned.json`, so a change that
-alters report bytes fails here and not only in the benchmark.
+Runs the desk config and the seed-0 dd-chain and ideal-slices configs through
+`cli.main` and compares each report's sha256 with `perfbench/pinned.json`, so
+a change that alters report bytes fails here and not only in the benchmark.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ PINS = json.loads((PERFBENCH / "pinned.json").read_text())["reports"]
 
 @pytest.mark.parametrize("workload, key", [
     ("desk", "desk"),
+    ("dd-chain", "dd-chain:3,2,1,3,2,1,3,2,1"),
     ("ideal-slices", "ideal-slices:1,2,1,3,2,1"),
 ])
 def test_seed_zero_report_matches_its_pin(tmp_path, workload, key):
