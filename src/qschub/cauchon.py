@@ -11,6 +11,18 @@ stage is certified: all generator pairs are checked against the stage relation
 table, degrees are checked, and at the top stage the series is cross-checked
 against the independent theta implementation.
 
+A chain on x_1, ..., x_l is built on the chain of x_1, ..., x_{l-1}: the
+prefix cell's chain, or the chain of the restricted presentation.  Stage j < l
+only involves x_1, ..., x_j: the series uses delta_j, sigma_j and the tails
+below j, and x_l only q-commutes in the stage-(j+1) algebra.  So its
+generators are exactly the prefix chain's stage-j generators, padded with a
+zero x_l slot, plus x_l, and the prefix chain has certified every relation
+among them.  Those stages check only x_l and the pairs (l, i); stage l is
+computed and certified in full.  Each relation check thus runs once per
+distinct prefix.  All computations of one stage share one localised stage
+presentation and its product memo; the next stage replaces it and `run`
+drops it at the end, so a chain that has run holds no memo.
+
 Elements are carried down the chain by a triangular peel.  Localisation at
 the pivot never raises the pivot exponent, so a stage-j monomial n evaluates
 in stage-(j+1) coordinates to y^n with coefficient 1 plus terms of strictly
@@ -35,12 +47,11 @@ WINDOW_CAP = 6
 
 
 class StageState:
-    """One completed stage: index, presentation, generator expressions in the
-    previous stage's coordinates, and the relation certificate flag."""
+    """One completed stage: index, generator expressions in the previous
+    stage's coordinates, and the relation certificate flag."""
 
-    def __init__(self, j, presentation, exprs, certified):
+    def __init__(self, j, exprs, certified):
         self.j = j
-        self.presentation = presentation
         self.exprs = exprs
         self.certified = certified
 
@@ -53,32 +64,67 @@ class StageState:
         }
 
 
+def _pad(element):
+    """An element of the prefix algebra, with a zero slot for the new x_l."""
+    return {m + (0,): c for m, c in element.items()}
+
+
 class DeletingDerivations:
-    def __init__(self, pres):
+    """The chain on pres; prefix is the chain of pres.restrict(l - 1), built
+    from the restriction when not given."""
+
+    def __init__(self, pres, prefix=None):
         if pres.degs is None or any(q is None for q in pres.qself[1:]):
             raise EngineError("the chain needs graded CGL data (degs and qself)")
         self.orig = pres
         self.l = pres.l
-        self._stage_pres = {}
+        if prefix is None and self.l > 2:
+            prefix = DeletingDerivations(pres.restrict(self.l - 1))
+        self.prefix = prefix
+        self._top = None         # the certified stage-l generators
+        self._certified = set()  # stages whose checks have run on this chain
+        self._hi = None          # (j, pivot presentation of stage j) while in use
 
     def stage_presentation(self, j):
         """A^{(j)}: original tails strictly below j, pure twists from j up."""
-        hit = self._stage_pres.get(j)
-        if hit is None:
-            tails = {kj: t for kj, t in self.orig.tails.items() if kj[0] < j}
-            hit = Presentation(self.orig.l, self.orig.lam, tails,
-                               qself=self.orig.qself, degs=self.orig.degs,
-                               name=f"{self.orig.name}#stage{j}",
-                               nilpotency_cap=self.orig.nilpotency_cap,
-                               validate=False)
-            self._stage_pres[j] = hit
-        return hit
+        tails = {kj: t for kj, t in self.orig.tails.items() if kj[0] < j}
+        return Presentation(self.orig.l, self.orig.lam, tails,
+                            qself=self.orig.qself, degs=self.orig.degs,
+                            name=f"{self.orig.name}#stage{j}",
+                            nilpotency_cap=self.orig.nilpotency_cap,
+                            validate=False)
+
+    def pivot_presentation(self, j):
+        """A^{(j+1)} localised at x_j, shared by every computation of stage j."""
+        if self._hi is None or self._hi[0] != j:
+            self._hi = (j, self.stage_presentation(j + 1).with_pivot(j))
+        return self._hi[1]
 
     # -- one stage ---------------------------------------------------------
 
+    def stage(self, j):
+        """The certified stage-j generators.  Each stage is certified once per
+        chain; only stage l is stored, as the stages below it are the prefix
+        chain's, padded again on each call."""
+        if j == self.l and self._top is not None:
+            return self._top
+        exprs = self.new_generators(j)
+        if j not in self._certified:
+            self.verify_stage(j, exprs)
+            self._certified.add(j)
+        if j == self.l:
+            self._top = exprs
+        return exprs
+
     def new_generators(self, j):
-        """Stage-j generators in stage-(j+1) coordinates (Laurent at pivot j)."""
-        hi = self.stage_presentation(j + 1).with_pivot(j)
+        """Stage-j generators in stage-(j+1) coordinates (Laurent at pivot j).
+
+        Below the top pivot they are the prefix chain's, padded, and x_l."""
+        if j < self.l:
+            exprs = {i: _pad(e) for i, e in self.prefix.stage(j).items()}
+            exprs[self.l] = self.orig.gen(self.l)
+            return exprs
+        hi = self.pivot_presentation(j)
         qj = self.orig.qself[j]
         one_minus = ONE - qj
         exprs = {}
@@ -102,24 +148,37 @@ class DeletingDerivations:
         return exprs
 
     def verify_stage(self, j, exprs):
-        """Certify that the expressions satisfy the stage-j relation table."""
-        hi = self.stage_presentation(j + 1).with_pivot(j)
-        lo = self.stage_presentation(j)
-        for i in range(1, self.l + 1):
+        """Certify that the expressions satisfy the stage-j relation table.
+
+        At the top pivot every generator and pair is checked.  Below it the
+        generators under x_l must be the prefix chain's certified ones,
+        padded; x_l and the pairs (l, i) are checked here."""
+        hi = self.pivot_presentation(j)
+        first = 1
+        if j < self.l:
+            first = self.l
+            for i, e in self.prefix.stage(j).items():
+                if exprs[i] != _pad(e):
+                    raise EngineError(
+                        f"stage {j}: generator {i} differs from the prefix chain's")
+        for i in range(first, self.l + 1):
             if hi.degree(exprs[i]) != self.orig.degs[i - 1]:
                 raise EngineError(f"stage {j}: generator {i} is not degree-homogeneous")
-        for k in range(2, self.l + 1):
+        for k in range(max(first, 2), self.l + 1):
             for i in range(1, k):
-                lhs = hi.mul(exprs[k], exprs[i])
-                rhs = hi.scale(hi.mul(exprs[i], exprs[k]), lo.lam[(k, i)])
-                tail = lo.tails.get((k, i))
-                if tail:
-                    for mono, c in tail.items():
-                        accumulate(rhs, self._eval_monomial(hi, exprs, mono), c)
-                if lhs != rhs:
-                    raise EngineError(
-                        f"stage {j}: relation ({k},{i}) failed verification")
+                self._check_relation(hi, j, exprs, k, i)
         return True
+
+    def _check_relation(self, hi, j, exprs, k, i):
+        """e_k e_i = lam_{ki} e_i e_k + tail_{ki}(e), the tail present for k < j."""
+        lhs = hi.mul(exprs[k], exprs[i])
+        rhs = hi.scale(hi.mul(exprs[i], exprs[k]), self.orig.lam[(k, i)])
+        tail = self.orig.tails.get((k, i)) if k < j else None
+        if tail:
+            for mono, c in tail.items():
+                accumulate(rhs, self._eval_monomial(hi, exprs, mono), c)
+        if lhs != rhs:
+            raise EngineError(f"stage {j}: relation ({k},{i}) failed verification")
 
     def _eval_monomial(self, ctx, exprs, mono):
         out = ctx.one()
@@ -134,7 +193,7 @@ class DeletingDerivations:
 
     def check_theta_consistency(self, exprs_top):
         """At pivot l the series must agree with the standalone theta map."""
-        pres = self.orig.with_pivot(self.l)
+        pres = self.pivot_presentation(self.l)
         for i in range(1, self.l):
             if pres.theta(pres.gen(i)) != exprs_top[i]:
                 raise EngineError(f"stage {self.l}: series disagrees with theta on x_{i}")
@@ -155,7 +214,7 @@ class DeletingDerivations:
         """
         if not element:
             return {}
-        hi = self.stage_presentation(j + 1).with_pivot(j)
+        hi = self.pivot_presentation(j)
         deg = hi.degree(element)
         power_cache = {}
 
@@ -205,13 +264,13 @@ class DeletingDerivations:
         current = {k: dict(v) for k, v in (elements or {}).items()}
         states = []
         for j in range(self.l, 1, -1):
-            exprs = self.new_generators(j)
-            certified = self.verify_stage(j, exprs)
-            if theta_check and j == self.l and self.l >= 2:
+            exprs = self.stage(j)
+            if theta_check and j == self.l:
                 self.check_theta_consistency(exprs)
             current = {k: self.reexpress(j, exprs, v) for k, v in current.items()}
             if record_stages:
-                states.append(StageState(j, self.stage_presentation(j), exprs, certified))
+                states.append(StageState(j, exprs, True))
+        self._hi = None
         return states, current
 
     def cauchon_coordinates(self, element):
@@ -231,9 +290,8 @@ def verify_main1b(cell, record_stages=False):
     Also reports the anchor identity at j = l and the final relation matrix.
     """
     pres = cell.presentation()
-    dd = DeletingDerivations(pres)
     minors = {j: cell.quantum_minor(j) for j in range(1, cell.l + 1)}
-    states, finals = dd.run(minors, record_stages=record_stages)
+    states, finals = cell.chain().run(minors, record_stages=record_stages)
     report = {"word": list(cell.letters), "type": cell.datum.label,
               "cases": [], "ok": True}
     for j in range(1, cell.l + 1):

@@ -21,7 +21,7 @@ from .weyl import ReducedWord, root_datum
 from .subwords import lp_table_json, combinatorial_poset
 from .pbw import Presentation, EngineError
 from .schubert import schubert_cell
-from .cauchon import DeletingDerivations, verify_main1b
+from .cauchon import verify_main1b
 from .ideals import IdealLab, UnsaturatedError
 
 EXIT_OK = 0
@@ -121,8 +121,7 @@ def cmd_minor(args):
 def cmd_dd_run(args):
     word = _word(args.type, _parse_word(args.word))
     cell = schubert_cell(args.type, word.letters)
-    dd = DeletingDerivations(cell.presentation())
-    states, _ = dd.run({}, record_stages=True)
+    states, _ = cell.chain().run({}, record_stages=True)
     payload = {
         "type": args.type, "word": list(word.letters),
         "relation_table": cell.presentation().table_text(),

@@ -42,7 +42,6 @@ from .qscalar import ONE, qpow
 from .linalg import Echelon, accumulate, nullspace
 from .pbw import EngineError
 from .modules import build_module, demazure_echelon, DualFunctional, root_coords
-from .schubert import schubert_cell
 from .subwords import lp_index_set
 
 __all__ = ["IdealLab", "UnsaturatedError", "BoundError"]
@@ -472,8 +471,8 @@ class IdealLab:
         if self._shorter is None:
             # one lab of the word without its last letter, shared by every y;
             # the cell comes from the cache other checks of that word use
-            sub_cell = schubert_cell(self.datum.label, self.cell.letters[:-1])
-            self._shorter = IdealLab(sub_cell, self.bound, self.lambda_budget)
+            self._shorter = IdealLab(self.cell.prefix_cell(), self.bound,
+                                     self.lambda_budget)
         sub_lab = self._shorter
         # only the degrees of the shorter algebra are compared
         if case == "contraction":

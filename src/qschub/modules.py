@@ -18,7 +18,7 @@ module construction and serves as the dimension oracle.
 from fractions import Fraction
 
 from .qscalar import ZERO, ONE, qpow, from_fraction, q_bracket, q_factorial
-from .linalg import accumulate, mat_vec, mat_mul, invert_matrix, solve_columns, Echelon
+from .linalg import accumulate, mat_vec, invert_matrix, solve_columns, Echelon
 from .pbw import EngineError
 
 __all__ = ["WeightModule", "build_module", "weight_multiplicities", "DualFunctional"]
@@ -322,22 +322,6 @@ class WeightModule:
                 mat[(row, col)] = c
         self._braid[i] = mat
         return mat
-
-    def braid_word_matrix(self, letters, invert=False):
-        """T_{a_1} ... T_{a_k} as a matrix (rightmost letter acts first); with
-        invert=True the inverse of that product, A_k^{-1} ... A_1^{-1}."""
-        out = None
-        for i in letters:
-            m = self.braid_matrix(i, invert=invert)
-            if out is None:
-                out = m
-            elif invert:
-                out = mat_mul(m, out)
-            else:
-                out = mat_mul(out, m)
-        if out is None:
-            out = {(t, t): ONE for t in range(self.dim)}
-        return out
 
     def tminus_winv_vector(self, letters):
         """T^{-1}_{w^{-1}} v_lambda for w given by the reduced word `letters`.

@@ -7,6 +7,19 @@ algebra from the root-vector operators on a faithful sum of fundamental-weight
 modules (the rank certificate enlarges the module set until the candidate
 monomial operators are independent), never assumed from a closed formula.
 
+Each cell extends the cell of its prefix, the word without its last letter,
+taken from the cell cache.  The subalgebra on x_1, ..., x_{l-1} is the prefix
+cell's algebra U^-[w'], and beta_1, ..., beta_{l-1} and the braid products
+before each letter depend only on the prefix.  So the operator packs append
+one letter to the prefix cell's packs, and the relation table is the prefix
+cell's, padded with a zero x_l slot, plus the pairs (l, j).  This is exact,
+not an approximation: every tail is the unique solution of its linear
+system, certified by the rank check, and the CGL certificates of the indices
+below l only involve x_1, ..., x_{l-1}.  The prefix cell ran those
+certificates once; this cell runs them for index l.  A lone word thus builds
+its prefixes' cells, the same work as building it from nothing, now kept for
+reuse.
+
 Quantum minors and the more general b-elements are evaluated through the
 graded pairing formula: the coefficient of F_{beta_l}^{m_l}...F_{beta_1}^{m_1}
 is
@@ -25,6 +38,7 @@ from .qscalar import ONE, qpow, q_factorial
 from .linalg import accumulate, mat_mul, mat_vec, solve_columns
 from .weyl import ReducedWord, root_datum
 from .pbw import Presentation, EngineError
+from .cauchon import DeletingDerivations
 from .modules import build_module, extremal_dual, root_coords
 from .subwords import successor_table
 
@@ -57,7 +71,12 @@ class SchubertCell:
         self._prefactors = {}
         self._presentation = None
         self._minors = {}
-        self._extraction_modules = None
+        self._chain = None
+
+    def prefix_cell(self):
+        """The cached cell of the word without its last letter; the empty
+        word, the root of every chain of prefixes, has none."""
+        return schubert_cell(self.datum.label, self.letters[:-1]) if self.l else None
 
     # -- scalars ------------------------------------------------------------
 
@@ -89,26 +108,32 @@ class SchubertCell:
 
         With a_1 ... a_{j-1} the prefix before letter j, F_{beta_j} is
         F_{a_j} conjugated by T = T_{a_1} ... T_{a_{j-1}}, and tauE_{beta_j}
-        is E_{a_j} conjugated by T_{a_{j-1}} ... T_{a_1}.  Both products and
-        their inverses grow by one letter per j."""
+        is E_{a_j} conjugated by T_{a_{j-1}} ... T_{a_1}.  The prefix cell's
+        pack holds both products over its whole word, and their inverses
+        ("fwd", "bwd", "rev", "rev_inv"); this pack appends F_{beta_l} and
+        tauE_{beta_l} to its lists and extends the products by letter l."""
         key = tuple(lam_fw)
         hit = self._ops.get(key)
         if hit is not None:
             return hit
-        module = build_module(self.datum, lam_fw)
-        fwd = bwd = rev = rev_inv = {(t, t): ONE for t in range(module.dim)}
-        fmats, emats = [], []
-        for j, letter in enumerate(self.letters):
-            if j:
-                prev = self.letters[j - 1]
-                t_prev = module.braid_matrix(prev)
-                t_prev_inv = module.braid_matrix(prev, invert=True)
-                fwd, bwd = mat_mul(fwd, t_prev), mat_mul(t_prev_inv, bwd)
-                rev, rev_inv = mat_mul(t_prev, rev), mat_mul(rev_inv, t_prev_inv)
-            fmats.append(mat_mul(mat_mul(fwd, module.F[letter]), bwd))
-            emats.append(mat_mul(mat_mul(rev_inv, module.E[letter]), rev))
-        u_w = module.tminus_winv_vector(self.letters)
-        hit = {"module": module, "F": fmats, "tauE": emats, "u_w": u_w}
+        if not self.l:
+            module = build_module(self.datum, key)
+            one = {(t, t): ONE for t in range(module.dim)}
+            hit = {"module": module, "F": [], "tauE": [],
+                   "fwd": one, "bwd": one, "rev": one, "rev_inv": one}
+        else:
+            base = self.prefix_cell().ops(key)
+            module = base["module"]
+            letter = self.letters[-1]
+            t = module.braid_matrix(letter)
+            t_inv = module.braid_matrix(letter, invert=True)
+            fwd, bwd, rev, rev_inv = base["fwd"], base["bwd"], base["rev"], base["rev_inv"]
+            hit = {"module": module,
+                   "F": base["F"] + [mat_mul(mat_mul(fwd, module.F[letter]), bwd)],
+                   "tauE": base["tauE"] + [mat_mul(mat_mul(rev_inv, module.E[letter]), rev)],
+                   "fwd": mat_mul(fwd, t), "bwd": mat_mul(t_inv, bwd),
+                   "rev": mat_mul(t, rev), "rev_inv": mat_mul(rev_inv, t_inv)}
+        hit["u_w"] = module.tminus_winv_vector(self.letters)
         self._ops[key] = hit
         return hit
 
@@ -122,7 +147,9 @@ class SchubertCell:
     # -- presentation extraction --------------------------------------------------
 
     def presentation(self):
-        """The CGL presentation; tails solved on a rank-certified module sum."""
+        """The CGL presentation: the prefix cell's tails, padded, and the
+        pairs (l, j) solved on a module sum raised until they are
+        rank-certified; index l is CGL-certified here."""
         if self._presentation is not None:
             return self._presentation
         mods = []
@@ -146,17 +173,19 @@ class SchubertCell:
                             name=f"U-[{self.word.element.render()}]@{self.letters}")
         self._certify_cgl(pres)
         self._presentation = pres
-        self._extraction_modules = list(mods)
         return pres
 
     def _solve_all_tails(self, mod_keys):
+        """Every tail: the prefix cell's, padded with a zero x_l slot, and
+        the pairs (l, j) solved on the modules mod_keys."""
+        tails = {} if not self.l else {
+            kj: {m + (0,): c for m, c in t.items()}
+            for kj, t in self.prefix_cell().presentation().tails.items()}
         packs = [self.ops(k) for k in mod_keys]
-        tails = {}
-        for k in range(2, self.l + 1):
-            for j in range(1, k):
-                tail = self._solve_tail(packs, k, j)
-                if tail:
-                    tails[(k, j)] = tail
+        for j in range(1, self.l):
+            tail = self._solve_tail(packs, self.l, j)
+            if tail:
+                tails[(self.l, j)] = tail
         return tails
 
     def element_operator(self, lam_fw, element):
@@ -235,20 +264,31 @@ class SchubertCell:
         return {mono: c for mono, c in zip(candidates, sol) if not c.is_zero()}
 
     def _certify_cgl(self, pres):
-        # torus eigenvalues q_j are nontrivial q-powers; sigma delta = q delta sigma;
-        # every delta_j is nilpotent on the generators below j
-        for jj in range(2, self.l + 1):
-            qj = pres.qself[jj]
-            if qj.as_q_power() in (None, 0):
-                raise EngineError(f"torus eigenvalue q_{jj} = {qj} is not a nontrivial "
-                                  "power of q")
-            for i in range(1, jj):
-                gen = pres.gen(i)
-                pres.delta_nilpotency(jj, gen)
-                lhs = pres.apply_sigma(jj, pres.apply_delta(jj, gen))
-                rhs = pres.scale(pres.apply_delta(jj, pres.apply_sigma(jj, gen)), qj)
-                if lhs != rhs:
-                    raise EngineError(f"sigma_{jj} delta_{jj} twist certificate failed")
+        # index l only, the prefix cell having certified the indices below:
+        # the torus eigenvalue q_l is a nontrivial q-power; sigma delta = q delta
+        # sigma; delta_l is nilpotent on the generators below l
+        jj = self.l
+        if jj < 2:
+            return
+        qj = pres.qself[jj]
+        if qj.as_q_power() in (None, 0):
+            raise EngineError(f"torus eigenvalue q_{jj} = {qj} is not a nontrivial "
+                              "power of q")
+        for i in range(1, jj):
+            gen = pres.gen(i)
+            pres.delta_nilpotency(jj, gen)
+            lhs = pres.apply_sigma(jj, pres.apply_delta(jj, gen))
+            rhs = pres.scale(pres.apply_delta(jj, pres.apply_sigma(jj, gen)), qj)
+            if lhs != rhs:
+                raise EngineError(f"sigma_{jj} delta_{jj} twist certificate failed")
+
+    def chain(self):
+        """The deleting-derivations chain, built on the prefix cell's chain."""
+        if self._chain is None:
+            parent = self.prefix_cell()
+            self._chain = DeletingDerivations(self.presentation(),
+                                              parent.chain() if parent else None)
+        return self._chain
 
     # -- pairing evaluation ---------------------------------------------------------
 
@@ -383,10 +423,14 @@ class _RankDeficient(Exception):
     pass
 
 
-def schubert_cell(label, letters, cache={}):
+_CELL_CACHE = {}
+
+
+def schubert_cell(label, letters):
+    """The cached cell of (label, letters); prefix cells are looked up here."""
     key = (label, tuple(letters))
-    hit = cache.get(key)
+    hit = _CELL_CACHE.get(key)
     if hit is None:
-        hit = SchubertCell(root_datum(label), tuple(letters))
-        cache[key] = hit
+        hit = SchubertCell(root_datum(label), key[1])
+        _CELL_CACHE[key] = hit
     return hit

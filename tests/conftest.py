@@ -1,6 +1,8 @@
 import pytest
 
 from qschub.ideals import IdealLab
+from qschub.linalg import mat_mul
+from qschub.qscalar import ONE
 
 
 @pytest.fixture
@@ -15,3 +17,26 @@ def built_labs(monkeypatch):
 
     monkeypatch.setattr(IdealLab, "__init__", counted)
     return built
+
+
+def _braid_word_matrix(module, letters, invert=False):
+    """T_{a_1} ... T_{a_k} on module as a matrix (rightmost letter acts
+    first); with invert=True the inverse of that product, A_k^{-1} ... A_1^{-1}."""
+    out = None
+    for i in letters:
+        m = module.braid_matrix(i, invert=invert)
+        if out is None:
+            out = m
+        elif invert:
+            out = mat_mul(m, out)
+        else:
+            out = mat_mul(out, m)
+    if out is None:
+        out = {(t, t): ONE for t in range(module.dim)}
+    return out
+
+
+@pytest.fixture
+def braid_word_matrix():
+    """The braid-word product helper, built letter by letter from scratch."""
+    return _braid_word_matrix

@@ -256,7 +256,7 @@ def test_campaign_rejects_a_config_with_no_case(tmp_path, capsys):
 def test_campaign_extracts_each_presentation_once(tmp_path, monkeypatch):
     # main2-ind's shorter word 2,1 is the cell main1b already built
     from qschub import schubert
-    monkeypatch.setattr(schubert.schubert_cell, "__defaults__", ({},))
+    monkeypatch.setattr(schubert, "_CELL_CACHE", {})
     extracted = []
     presentation = schubert.SchubertCell.presentation
 

@@ -200,21 +200,21 @@ def test_braid_inverse_and_weight_permutation():
             assert m.wt_of[row] == s.act_weight(m.wt_of[col])
 
 
-def test_braid_word_independence_a2():
+def test_braid_word_independence_a2(braid_word_matrix):
     datum = root_datum("A2")
     for lam in [(1, 0), (1, 1)]:
         m = build_module(datum, lam)
-        t121 = m.braid_word_matrix((1, 2, 1))
-        t212 = m.braid_word_matrix((2, 1, 2))
+        t121 = braid_word_matrix(m, (1, 2, 1))
+        t212 = braid_word_matrix(m, (2, 1, 2))
         assert t121 == t212
-        i121 = m.braid_word_matrix((1, 2, 1), invert=True)
+        i121 = braid_word_matrix(m, (1, 2, 1), invert=True)
         assert mat_mul(t121, i121) == {(t, t): ONE for t in range(m.dim)}
 
 
-def test_braid_word_independence_b2():
+def test_braid_word_independence_b2(braid_word_matrix):
     datum = root_datum("B2")
     m = build_module(datum, (1, 0))
-    assert m.braid_word_matrix((1, 2, 1, 2)) == m.braid_word_matrix((2, 1, 2, 1))
+    assert braid_word_matrix(m, (1, 2, 1, 2)) == braid_word_matrix(m, (2, 1, 2, 1))
 
 
 def test_extremal_vector_and_dual():
