@@ -1,9 +1,10 @@
 """Sparse exact linear algebra over Q(q).
 
 Vectors are dicts {column_key: Scalar} with zero entries absent.  Column keys
-are any sortable hashables (ints, tuples); all pivoting is deterministic:
-columns are visited in sorted order, and among candidate rows the one whose
-pivot entry has the fewest terms wins (ties broken by insertion order).
+are any sortable hashables (ints, tuples).  Every elimination is an
+`Echelon`: a linear solve is the echelon of its transposed system, and an
+inverse is the echelon of [mat | 1].  Pivoting is deterministic: a new row's
+pivot is its least key after reduction.
 
 An `Echelon` keeps its rows fully reduced, so a row is zero at every pivot
 but its own.  A unit row, a single key with coefficient 1, therefore only
@@ -49,10 +50,6 @@ def accumulate(out, v, c=None):
 def vec_add(u, v, c=None):
     """u + c*v as a new vector; neither input is changed."""
     return accumulate(dict(u), v, c)
-
-
-def _complexity(s):
-    return len(s.num) + len(s.den)
 
 
 class Echelon:
@@ -110,49 +107,29 @@ def solve_columns(columns, target):
     Returns (coeffs, unique) where coeffs is a list of Scalars or None when no
     solution exists; unique is False when the columns are dependent (one valid
     solution is still returned, with free coefficients set to zero).
+
+    Each key k gives the row {i: columns[i][k]} + {n: target[k]}, which
+    pairs to zero with (c_0, ..., c_{n-1}, -1).  The echelon of these rows
+    has a pivot at n exactly when no solution exists, and its row with pivot
+    i < n reads c_i = row[n] once the free coefficients are zero.
     """
     n = len(columns)
-    # augmented rows indexed by the union of row keys
-    keys = set(target)
-    for col in columns:
-        keys.update(col)
-    keys = sorted(keys, key=lambda k: (k if isinstance(k, tuple) else (k,)))
-    rows = {k: [col.get(k, ZERO) for col in columns] + [target.get(k, ZERO)]
-            for k in keys}
-    order = list(keys)
-    pivot_of_col = [None] * n
-    used = set()
-    for j in range(n):
-        best = None
-        for k in order:
-            if k in used:
-                continue
-            e = rows[k][j]
-            if not e.is_zero():
-                if best is None or _complexity(e) < _complexity(rows[best][j]):
-                    best = k
-        if best is None:
-            continue
-        used.add(best)
-        pivot_of_col[j] = best
-        inv = rows[best][j].inverse()
-        rows[best] = [inv * x for x in rows[best]]
-        for k in order:
-            if k is best:
-                continue
-            c = rows[k][j]
-            if not c.is_zero():
-                rows[k] = [x - c * y for x, y in zip(rows[k], rows[best])]
+    rows = {}
+    for i, col in enumerate([*columns, target]):
+        for k, x in col.items():
+            if not x.is_zero():
+                rows.setdefault(k, {})[i] = x
+    ech = Echelon()
+    for k in sorted(rows, key=lambda k: (k if isinstance(k, tuple) else (k,))):
+        ech.add(rows[k])
+    unique = sum(piv < n for piv in ech.pivots) == n
+    if n in ech.pivots:
+        return None, unique
     coeffs = [ZERO] * n
-    for j in range(n):
-        k = pivot_of_col[j]
-        if k is not None:
-            coeffs[j] = rows[k][n]
-    # residual check
-    for k in order:
-        if k not in used and not rows[k][n].is_zero():
-            return None, all(p is not None for p in pivot_of_col)
-    unique = all(p is not None for p in pivot_of_col)
+    for piv, row in zip(ech.pivots, ech.rows):
+        x = row.get(n)
+        if x is not None:
+            coeffs[piv] = x
     return coeffs, unique
 
 
@@ -214,31 +191,15 @@ def mat_mul(m1, m2):
 
 
 def invert_matrix(mat, size):
-    """Exact inverse of a size x size matrix given as {(r, c): Scalar}."""
-    rows = [[ZERO] * size + [ZERO] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][size + i] = ONE
+    """Exact inverse of a size x size matrix given as {(r, c): Scalar}: the
+    fully reduced echelon of [mat | 1] is [1 | mat^-1]."""
+    rows = [{size + r: ONE} for r in range(size)]
     for (r, c), a in mat.items():
-        rows[r][c] = a
-    for j in range(size):
-        p = None
-        for i in range(j, size):
-            if not rows[i][j].is_zero():
-                if p is None or _complexity(rows[i][j]) < _complexity(rows[p][j]):
-                    p = i
-        if p is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[j], rows[p] = rows[p], rows[j]
-        inv = rows[j][j].inverse()
-        rows[j] = [inv * x for x in rows[j]]
-        for i in range(size):
-            if i != j and not rows[i][j].is_zero():
-                c = rows[i][j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
-    out = {}
-    for r in range(size):
-        for c in range(size):
-            v = rows[r][size + c]
-            if not v.is_zero():
-                out[(r, c)] = v
-    return out
+        if not a.is_zero():
+            rows[r][c] = a
+    ech = Echelon()
+    ech.extend(rows)
+    if sorted(ech.pivots) != list(range(size)):
+        raise ZeroDivisionError("singular matrix")
+    return {(piv, c - size): x for piv, row in zip(ech.pivots, ech.rows)
+            for c, x in row.items() if c >= size}

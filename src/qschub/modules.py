@@ -143,7 +143,7 @@ class WeightModule:
         if not spanning:
             return False
         G = self._spanning_gram(nu, spanning)
-        kept, coords = self._choose_basis(G, len(spanning))
+        kept, coords = self._choose_basis(nu, G, len(spanning))
         if not kept:
             return False
         base = len(self.wt_of)
@@ -213,24 +213,26 @@ class WeightModule:
                     out = out + ca * cb * g
         return out
 
-    def _choose_basis(self, G, n):
+    def _choose_basis(self, nu, G, n):
+        rows = [{t: G[(s, t)] for t in range(n) if not G[(s, t)].is_zero()}
+                for s in range(n)]
         ech = Echelon()
-        kept = []
-        for s in range(n):
-            row = {t: G[(s, t)] for t in range(n) if not G[(s, t)].is_zero()}
-            if ech.add(row):
-                kept.append(s)
-        # coordinates of every spanning vector in the kept basis
-        cols = [{t: G[(k, t)] for t in range(n) if not G[(k, t)].is_zero()}
-                for k in kept]
+        kept = [s for s in range(n) if ech.add(rows[s])]
+        # coordinates of every spanning vector in the kept basis: a kept
+        # vector's are its own unit vector, the others' are solved for
+        cols = [rows[k] for k in kept]
+        position = {k: t for t, k in enumerate(kept)}
         coords = []
         for s in range(n):
-            target = {t: G[(s, t)] for t in range(n) if not G[(s, t)].is_zero()}
-            sol, unique = solve_columns(cols, target)
+            if s in position:
+                coords.append({position[s]: ONE})
+                continue
+            sol, unique = solve_columns(cols, rows[s])
             if sol is None or not unique:
-                raise EngineError(f"Gram row {s} of weight {self.lam} has no unique "
-                                  "expression in the chosen basis")
-            coords.append({t: c for t, c in enumerate(sol)})
+                raise EngineError(
+                    f"Gram row {s} of the weight space ({', '.join(map(str, nu))}) "
+                    f"of V{self.highest} has no unique expression in the chosen basis")
+            coords.append(dict(enumerate(sol)))
         return kept, coords
 
     def _e_on_spanning(self, a, i, loc, up, nu):
@@ -324,7 +326,8 @@ class WeightModule:
         return mat
 
     def tminus_winv_vector(self, letters):
-        """T^{-1}_{w^{-1}} v_lambda for w given by the reduced word `letters`.
+        """T^{-1}_{w^{-1}} v_lambda for w given by the reduced word `letters`:
+        the canonical vector spanning the extremal weight line w(lambda).
 
         With T_{w^{-1}} = T_{a_k} ... T_{a_1} this is A_1^{-1} ... A_k^{-1}
         applied to the highest weight vector, i.e. inverse letters applied in
@@ -375,23 +378,17 @@ def built_modules():
     return dict(_MODULE_CACHE)
 
 
-def extremal_vector(module, letters):
-    """The canonical vector spanning the extremal weight line w(lambda)."""
-    return module.tminus_winv_vector(letters)
-
-
 def extremal_dual(module, letters):
     """xi_{w,lambda}: supported on the weight line w(lambda), pairing 1
     against T^{-1}_{w^{-1}} v_lambda."""
-    v = extremal_vector(module, letters)
-    (idx, c), = v.items()
+    (idx, c), = module.tminus_winv_vector(letters).items()
     return DualFunctional(module, {idx: c.inverse()})
 
 
 def demazure_echelon(module, letters):
     """Echelon basis of U^- T_y v_lambda for y given by the reduced word."""
     ech = Echelon()
-    frontier = [extremal_vector(module, letters)]
+    frontier = [module.tminus_winv_vector(letters)]
     ech.add(frontier[0])
     while frontier:
         new = []

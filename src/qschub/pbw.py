@@ -92,9 +92,6 @@ class Presentation:
 
     # -- constructors -------------------------------------------------------
 
-    def zero(self):
-        return {}
-
     def one(self):
         return {tuple(0 for _ in range(self.l)): ONE}
 
@@ -103,9 +100,6 @@ class Presentation:
 
     def gen(self, j, power=1, coeff=ONE):
         return {self.unit_mono(j, power): coeff}
-
-    def monomial(self, mono, coeff=ONE):
-        return {tuple(mono): coeff} if not coeff.is_zero() else {}
 
     def with_pivot(self, pivot):
         p = Presentation(self.l, self.lam, self.tails, self.qself, self.degs,

@@ -44,6 +44,9 @@ from .subwords import successor_table
 
 __all__ = ["SchubertCell", "NormalizationError"]
 
+# the most modules the rank certificate of a cell's tails may sum over
+MODULE_SET_CAP = 8
+
 
 class NormalizationError(EngineError):
     """The pairing normalisation disagrees with the anchor identities."""
@@ -58,7 +61,7 @@ def _int_vec(v):
 class SchubertCell:
     """All data attached to one (root datum, reduced word) pair."""
 
-    def __init__(self, datum, letters, lambda_budget=8):
+    def __init__(self, datum, letters):
         self.datum = datum
         self.word = ReducedWord(datum, letters)
         self.letters = self.word.letters
@@ -66,7 +69,6 @@ class SchubertCell:
         self.betas = self.word.beta_sequence()
         self.kappa, self.orbit_count = successor_table(self.word)
         self.d_of = tuple(datum.d[i - 1] for i in self.letters)
-        self.lambda_budget = lambda_budget
         self._ops = {}
         self._prefactors = {}
         self._presentation = None
@@ -152,19 +154,19 @@ class SchubertCell:
         rank-certified; index l is CGL-certified here."""
         if self._presentation is not None:
             return self._presentation
-        mods = []
-        queue = list(self._fundamental_list())
-        if len(queue) < 1:
-            raise EngineError("no modules available")
-        mods.append(queue.pop(0))
+        queue = self._fundamental_list()
+        mods = [queue.pop(0)]
         while True:
             try:
                 tails = self._solve_all_tails(mods)
                 break
-            except _RankDeficient:
-                if not queue or len(mods) >= self.lambda_budget:
+            except _RankDeficient as exc:
+                if not queue or len(mods) >= MODULE_SET_CAP:
+                    k, j = exc.args
                     raise EngineError(
-                        "rank certification failed: module truncation too small")
+                        f"rank certification failed for the word {self.letters}: "
+                        f"pair ({k}, {j}) is still rank-deficient on {len(mods)} "
+                        f"modules (MODULE_SET_CAP = {MODULE_SET_CAP})") from None
                 mods.append(queue.pop(0))
         lam = {(k, j): self.lam_scalar(k, j)
                for k in range(2, self.l + 1) for j in range(1, k)}
@@ -260,7 +262,7 @@ class SchubertCell:
         if sol is None:
             raise EngineError(f"tail of ({k},{j}) is outside the candidate span")
         if not unique:
-            raise _RankDeficient()
+            raise _RankDeficient(k, j)
         return {mono: c for mono, c in zip(candidates, sol) if not c.is_zero()}
 
     def _certify_cgl(self, pres):
@@ -420,7 +422,7 @@ class SchubertCell:
 
 
 class _RankDeficient(Exception):
-    pass
+    """The candidate operators of pair (k, j), its args, are dependent."""
 
 
 _CELL_CACHE = {}

@@ -12,7 +12,7 @@ from .weyl import ReducedWord
 
 __all__ = [
     "successor_table", "is_left_positive", "is_right_positive",
-    "enumerate_lp", "lp_index_set", "count_left_positive",
+    "enumerate_lp", "lp_index_set",
     "combinatorial_poset", "BruhatPreconditionError",
 ]
 
@@ -160,10 +160,6 @@ def lp_index_set(word, y):
     except KeyError:
         raise BruhatPreconditionError(
             f"{y.render()} is not Bruhat-below {word.element.render()}") from None
-
-
-def count_left_positive(word):
-    return len(enumerate_lp(word))
 
 
 def combinatorial_poset(word):

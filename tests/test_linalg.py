@@ -1,12 +1,17 @@
 """The sparse accumulate helper: copies stay copies, memoised dicts stay
-intact; the echelon's unit-row shortcuts against the plain elimination."""
+intact; the echelon's unit-row shortcuts against the plain elimination, and
+the echelon-based solve and inverse against list-based Gauss-Jordan loops."""
 
 import copy
 
 from hypothesis import given, settings, strategies as st
 
-from qschub.linalg import Echelon, accumulate, vec_add, vec_scale
-from qschub.qscalar import ONE, qpow
+import pytest
+
+from qschub.linalg import (
+    Echelon, accumulate, invert_matrix, mat_mul, solve_columns, vec_add, vec_scale,
+)
+from qschub.qscalar import ZERO, ONE, qpow
 from qschub.schubert import schubert_cell
 
 
@@ -103,3 +108,171 @@ def test_echelon_matches_the_loop_reference(inserts, probes):
         assert (ech.pivots, ech.rows) == (ref.pivots, ref.rows)
     for v in inserts + probes:
         assert ech.reduce(v) == ref.reduce(v)
+
+
+# Reference Gauss-Jordan loops over dense lists, with a fewest-terms pivot
+# rule: a different elimination order from the echelon's, reaching the same
+# exact answers.
+
+def _complexity(s):
+    return len(s.num) + len(s.den)
+
+
+def loop_solve_columns(columns, target):
+    """Solve sum_i c_i * columns[i] = target exactly.
+
+    Returns (coeffs, unique) where coeffs is a list of Scalars or None when no
+    solution exists; unique is False when the columns are dependent (one valid
+    solution is still returned, with free coefficients set to zero).
+    """
+    n = len(columns)
+    # augmented rows indexed by the union of row keys
+    keys = set(target)
+    for col in columns:
+        keys.update(col)
+    keys = sorted(keys, key=lambda k: (k if isinstance(k, tuple) else (k,)))
+    rows = {k: [col.get(k, ZERO) for col in columns] + [target.get(k, ZERO)]
+            for k in keys}
+    order = list(keys)
+    pivot_of_col = [None] * n
+    used = set()
+    for j in range(n):
+        best = None
+        for k in order:
+            if k in used:
+                continue
+            e = rows[k][j]
+            if not e.is_zero():
+                if best is None or _complexity(e) < _complexity(rows[best][j]):
+                    best = k
+        if best is None:
+            continue
+        used.add(best)
+        pivot_of_col[j] = best
+        inv = rows[best][j].inverse()
+        rows[best] = [inv * x for x in rows[best]]
+        for k in order:
+            if k is best:
+                continue
+            c = rows[k][j]
+            if not c.is_zero():
+                rows[k] = [x - c * y for x, y in zip(rows[k], rows[best])]
+    coeffs = [ZERO] * n
+    for j in range(n):
+        k = pivot_of_col[j]
+        if k is not None:
+            coeffs[j] = rows[k][n]
+    # residual check
+    for k in order:
+        if k not in used and not rows[k][n].is_zero():
+            return None, all(p is not None for p in pivot_of_col)
+    unique = all(p is not None for p in pivot_of_col)
+    return coeffs, unique
+
+
+def loop_invert_matrix(mat, size):
+    """Exact inverse of a size x size matrix given as {(r, c): Scalar}."""
+    rows = [[ZERO] * size + [ZERO] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][size + i] = ONE
+    for (r, c), a in mat.items():
+        rows[r][c] = a
+    for j in range(size):
+        p = None
+        for i in range(j, size):
+            if not rows[i][j].is_zero():
+                if p is None or _complexity(rows[i][j]) < _complexity(rows[p][j]):
+                    p = i
+        if p is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[j], rows[p] = rows[p], rows[j]
+        inv = rows[j][j].inverse()
+        rows[j] = [inv * x for x in rows[j]]
+        for i in range(size):
+            if i != j and not rows[i][j].is_zero():
+                c = rows[i][j]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
+    out = {}
+    for r in range(size):
+        for c in range(size):
+            v = rows[r][size + c]
+            if not v.is_zero():
+                out[(r, c)] = v
+    return out
+
+
+_monomials = st.builds(lambda c, e: c * qpow(e), st.sampled_from([ONE, -ONE, ONE + ONE]),
+                       st.integers(-2, 2))
+_sums = st.builds(lambda a, b: a + b, _monomials, _monomials)
+_entries = st.one_of(_monomials, _monomials, _sums.filter(lambda x: not x.is_zero()))
+_sparse = st.dictionaries(st.integers(0, 4), _entries, max_size=3)
+
+
+@st.composite
+def _systems(draw):
+    """A few sparse columns over q-monomials, some of them combinations of
+    the others, and a target drawn from their span or from anywhere."""
+    cols = draw(st.lists(_sparse, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+        cols.append(vec_add(a, b, draw(_entries)))
+    if draw(st.booleans()):
+        target = {}
+        for col in cols:
+            accumulate(target, col, draw(st.one_of(st.just(ZERO), _entries)))
+    else:
+        target = draw(_sparse)
+    return cols, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_solve_columns_matches_the_loop_reference(system):
+    cols, target = system
+    got, unique = solve_columns(cols, target)
+    want, want_unique = loop_solve_columns(cols, target)
+    assert (got is None, unique) == (want is None, want_unique)
+    if got is None:
+        return
+    combo = {}
+    for col, c in zip(cols, got):
+        accumulate(combo, col, c)
+    assert combo == target
+    # both set the coefficients of the same free columns to zero, so even a
+    # dependent solve gives the reference's coefficients
+    assert got == want
+
+
+def _mat(rows):
+    return {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.dictionaries(st.integers(0, n - 1), _entries, max_size=n),
+                         min_size=n, max_size=n))))
+def test_invert_matrix_matches_the_loop_reference(square):
+    size, rows = square
+    mat = _mat(rows)
+    try:
+        want = loop_invert_matrix(mat, size)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            invert_matrix(mat, size)
+        return
+    got = invert_matrix(mat, size)
+    one = {(t, t): ONE for t in range(size)}
+    assert got == want
+    assert mat_mul(mat, got) == one and mat_mul(got, mat) == one
+
+
+def test_solve_and_invert_on_singular_systems():
+    a, b = qpow(1), ONE + qpow(-1)
+    cols = [{0: a, 1: b}, {0: a * a, 1: a * b}, {2: ONE}]   # col 1 = q * col 0
+    assert solve_columns(cols, {0: a, 1: b, 2: qpow(2)}) == ([ONE, ZERO, qpow(2)], False)
+    assert solve_columns(cols, {0: a}) == (None, False)
+    assert solve_columns([cols[0], cols[2]], {1: b}) == (None, True)
+    with pytest.raises(ZeroDivisionError):
+        invert_matrix(_mat(cols), 3)
+    with pytest.raises(ZeroDivisionError):
+        invert_matrix({}, 2)

@@ -113,3 +113,48 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+# functions and methods that nothing in the package calls, each kept for the
+# reason given; anything else without a caller is dead weight
+_NO_CALLER_IN_PACKAGE = {
+    "cauchon.py:cauchon_coordinates": "one element through the chain, a test entry point",
+    "cauchon.py:final_presentation": "the chain's quantum affine space, read by tests",
+    "ideals.py:sample_complete_primeness": "sampled complete-primeness check, run by tests",
+    "modules.py:weight_multiplicities": "Freudenthal oracle, independent of the modules "
+                                        "it checks",
+    "modules.py:built_modules": "lets tests and perfbench see every module built",
+    "modules.py:weight_dims": "module shape, compared with the Freudenthal oracle",
+    "modules.py:k_exponent": "the K_i action, checked against the weights by tests",
+    "pbw.py:normal_form": "normal form of a sum of words, a test entry point",
+    "pbw.py:pivot_decomposition": "pivot-power split, checked by invariant tests",
+    "pbw.py:element_from_json": "inverse of element_to_json, for round-trip tests",
+    "pbw.py:from_table_text": "inverse of table_text, for round-trip tests",
+    "qscalar.py:q_integer": "q-combinatorics, tested against closed forms",
+    "qscalar.py:q_binomial": "q-combinatorics, tested against closed forms",
+    "qscalar.py:specialize": "evaluation at a rational q, the property tests' oracle",
+    "schubert.py:element_operator": "engine products against the module action, in tests",
+    "schubert.py:minor_degree": "the degree of Delta_j, checked by tests",
+    "schubert.py:verify_leading_term": "the one-step factorisation of Delta_j, in tests",
+    "schubert.py:minor_commutation_exponent": "q-commutation of minors, in tests",
+    "subwords.py:is_left_positive": "the definition that enumerate_lp is tested against",
+    "subwords.py:is_right_positive": "the mirror definition, tested with the left one",
+}
+
+
+def test_package_has_no_callerless_functions():
+    # a function or method counts as called when its name is read anywhere
+    # in the package, as a name or an attribute; dunder methods are called
+    # by the language
+    src = pathlib.Path(qschub.__file__).parent
+    used, defined = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                defined.append((f"{path.name}:{node.name}", node.name))
+    callerless = {key for key, name in defined if name not in used}
+    assert callerless == set(_NO_CALLER_IN_PACKAGE)

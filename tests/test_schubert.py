@@ -167,3 +167,17 @@ def test_subalgebra_closure():
                 prod = pres.mul(pres.gen(a), pres.gen(b))
                 for mono in prod:
                     assert all(mono[t] == 0 for t in range(j, pres.l))
+
+
+def test_module_set_cap_names_the_word_and_pair(monkeypatch):
+    # A3 1,2,1,3 is rank-certified on one module; 1,2,1,3,2 needs a second
+    from qschub import schubert
+    monkeypatch.setattr(schubert, "_CELL_CACHE", {})
+    monkeypatch.setattr(schubert, "MODULE_SET_CAP", 1)
+    schubert_cell("A3", (1, 2, 1, 3)).presentation()
+    with pytest.raises(EngineError, match=r"word \(1, 2, 1, 3, 2\): pair \(5, \d\) is "
+                                          r"still rank-deficient on 1 modules "
+                                          r"\(MODULE_SET_CAP = 1\)"):
+        schubert_cell("A3", (1, 2, 1, 3, 2)).presentation()
+    monkeypatch.setattr(schubert, "MODULE_SET_CAP", 2)
+    schubert_cell("A3", (1, 2, 1, 3, 2)).presentation()

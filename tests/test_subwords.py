@@ -5,7 +5,7 @@ import pytest
 from qschub.weyl import ReducedWord, root_datum
 from qschub.subwords import (
     successor_table, kappa_orbit, is_left_positive, is_right_positive,
-    enumerate_lp, lp_index_set, count_left_positive, combinatorial_poset,
+    enumerate_lp, lp_index_set, combinatorial_poset,
     BruhatPreconditionError,
 )
 
@@ -65,7 +65,7 @@ def test_lp_index_set_examples_a2():
     assert lp_index_set(word, s1) == {1}
     assert lp_index_set(word, datum.identity) == frozenset()
     assert lp_index_set(word, word.element) == {1, 2, 3}
-    assert count_left_positive(word) == 6
+    assert len(enumerate_lp(word)) == 6
 
 
 def test_lp_requires_bruhat_leq():
