@@ -13,6 +13,28 @@ kept in a canonical form:
 Canonical forms are unique, so equality is structural equality and Scalars are
 hashable.  All operations are pure and exact; no floating point anywhere.
 
+The engine repeats a few scalar operations many times over (on the benchmark
+campaigns, 90-98% of products and 64-97% of sums have been computed before),
+so three module tables memoise it:
+
+  * _SHARED maps a canonical form (num, den) to the one shared Scalar with
+    that value.  Every Scalar this module returns (ZERO, ONE, qpow,
+    from_fraction, q_bracket, products, sums, negations, inverses) passes
+    through it, so equal results are one object;
+  * _MUL and _ADD map an operand pair (a, b) to the shared a*b and a+b, and
+    __mul__ and __add__ look the pair up before computing anything.
+
+Since equal values are one object, the dicts, tuples and == checks above this
+layer mostly succeed on CPython's identity shortcut instead of comparing
+tuples.  Each table is cleared once it holds MEMO_CAP entries, which bounds
+its memory.  Equality and hash stay structural, so the tables are pure
+caches: clearing one costs speed, never correctness, and a Scalar made
+outside them (Scalar({...}) directly, or copy.deepcopy) equals and hashes
+like the shared one.  For the same reason Scalar.__init__ stays the
+canonicalising constructor: making it a hash-consing __new__ would make an
+unshared Scalar compare unequal to its shared twin, and would hide
+construction from wrappers that count and time __init__.
+
 A coefficient is an int when it is integral and a fractions.Fraction (with
 denominator > 1) only when it is not; an integral Fraction is never stored.
 Since str(3) == str(Fraction(3)) and hash(3) == hash(Fraction(3)), rendering
@@ -32,6 +54,27 @@ __all__ = [
 ]
 
 _DEN_ONE = ((0, 1),)
+
+# every table is cleared when it reaches this many entries
+MEMO_CAP = 8192
+
+_SHARED = {}    # (num, den) -> the shared Scalar with that canonical form
+_MUL = {}       # (a, b) -> a * b
+_ADD = {}       # (a, b) -> a + b
+
+
+def _remember(table, key, value):
+    if len(table) >= MEMO_CAP:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _share(s):
+    """The shared Scalar equal to s; s itself becomes it if none is stored."""
+    key = (s.num, s.den)
+    t = _SHARED.get(key)
+    return _remember(_SHARED, key, s) if t is None else t
 
 
 def _norm(c):
@@ -189,9 +232,10 @@ class Scalar:
 
     @classmethod
     def _raw(cls, num_t, den_t):
+        # the shared Scalar with this already canonical form
         s = object.__new__(cls)
         s.num, s.den, s._hash = num_t, den_t, None
-        return s
+        return _share(s)
 
     # -- predicates ------------------------------------------------------
 
@@ -219,12 +263,17 @@ class Scalar:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
+        key = (self, other)
+        out = _ADD.get(key)
+        return _remember(_ADD, key, self._sum(other)) if out is None else out
+
+    def _sum(self, other):
         if self.den == _DEN_ONE and other.den == _DEN_ONE:
             return Scalar._raw(
                 tuple(sorted(_padd(dict(self.num), dict(other.num)).items())), _DEN_ONE)
         n1, d1 = dict(self.num), dict(self.den)
         n2, d2 = dict(other.num), dict(other.den)
-        return Scalar(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        return _share(Scalar(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)))
 
     def __neg__(self):
         return Scalar._raw(tuple((e, -c) for e, c in self.num), self.den)
@@ -233,6 +282,11 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
+        key = (self, other)
+        out = _MUL.get(key)
+        return _remember(_MUL, key, self._product(other)) if out is None else out
+
+    def _product(self, other):
         a, b = self.num, other.num
         if not a or not b:
             return ZERO
@@ -245,7 +299,7 @@ class Scalar:
             return Scalar._raw(_scaled(b, *a[0]), other.den)
         if self.den == _DEN_ONE and other.den == _DEN_ONE:
             return Scalar._raw(tuple(sorted(_pmul(dict(a), dict(b)).items())), _DEN_ONE)
-        return Scalar(_pmul(dict(a), dict(b)), _pmul(dict(self.den), dict(other.den)))
+        return _share(Scalar(_pmul(dict(a), dict(b)), _pmul(dict(self.den), dict(other.den))))
 
     def inverse(self):
         # num = c*q^s*P with P(0) != 0 and P monic, coprime to den; so the
@@ -297,8 +351,8 @@ class Scalar:
         return render_scalar(self)
 
 
-ZERO = Scalar({})
-ONE = Scalar({0: 1})
+ZERO = _share(Scalar({}))
+ONE = _share(Scalar({0: 1}))
 
 
 def qpow(e):
@@ -307,7 +361,7 @@ def qpow(e):
 
 
 def from_fraction(c):
-    return Scalar({0: Fraction(c)})
+    return _share(Scalar({0: Fraction(c)}))
 
 
 # -- q-combinatorics -------------------------------------------------------
@@ -336,13 +390,6 @@ def q_factorial(n, d=1):
     for k in range(2, n + 1):
         out = out * q_bracket(k, d)
     return out
-
-
-def q_binomial(n, k, d=1):
-    """Balanced q-binomial [n choose k] at q^d, for 0 <= k <= n."""
-    if k < 0 or k > n:
-        return ZERO
-    return q_factorial(n, d) / (q_factorial(k, d) * q_factorial(n - k, d))
 
 
 def cauchon_integer(m, qhat):

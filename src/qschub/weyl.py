@@ -218,13 +218,14 @@ class RootDatum:
 class WeylElement:
     """A Weyl group element as its lattice action matrix.  Immutable."""
 
-    __slots__ = ("datum", "mat", "_length", "_inv")
+    __slots__ = ("datum", "mat", "_length", "_inv", "_word")
 
     def __init__(self, datum, mat):
         self.datum = datum
         self.mat = mat
         self._length = None
         self._inv = None
+        self._word = None
 
     @property
     def length(self):
@@ -272,13 +273,13 @@ class WeylElement:
 
     def reduced_word(self):
         """Canonical reduced word: smallest right descent stripped last."""
-        word = []
-        w = self
-        while w.length:
-            i = w.right_descents()[0]
-            word.append(i)
-            w = w * self.datum.simple(i)
-        return tuple(reversed(word))
+        if self._word is None:
+            if self.length:
+                i = self.right_descents()[0]
+                self._word = (self * self.datum.simple(i)).reduced_word() + (i,)
+            else:
+                self._word = ()
+        return self._word
 
     def support(self):
         """{i : s_i <= w}; equals the letter set of any reduced word."""

@@ -287,3 +287,25 @@ def test_python_m_qschub_runs_the_cli(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_campaign_report_does_not_depend_on_the_scalar_tables(tmp_path, monkeypatch):
+    # the Q(q) memo tables are pure caches: the same report bytes at
+    # MEMO_CAP = 1, where every insertion clears its table, as at the default
+    from qschub import modules, qscalar, schubert, subwords
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = A2 : 1,2,1 : main1b,main2,main2-ind,poset,gk,normality\n"
+                   "case = B2 : 1,2,1,2 : main1b\n")
+    tables = ("_SHARED", "_MUL", "_ADD")
+    reports = []
+    for cap in (qscalar.MEMO_CAP, 1):
+        monkeypatch.setattr(qscalar, "MEMO_CAP", cap)
+        # fresh caches above the scalars too, so the whole campaign reruns
+        for mod, name in [(qscalar, t) for t in tables] + [
+                (schubert, "_CELL_CACHE"), (modules, "_MODULE_CACHE"), (subwords, "_LP_CACHE")]:
+            monkeypatch.setattr(mod, name, {})
+        out = tmp_path / f"cap{cap}.json"
+        assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
+        assert all(len(getattr(qscalar, name)) <= cap for name in tables)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qschub.qscalar import ZERO, ONE, qpow, from_fraction, q_bracket, q_factorial, q_binomial
+from qschub.qscalar import ZERO, ONE, qpow, from_fraction, q_bracket, q_factorial
 from qschub.linalg import mat_vec, mat_mul
 from qschub.weyl import root_datum
 from qschub.modules import (
@@ -110,6 +110,11 @@ def test_defining_relations(label, lam):
                 alpha_i = tuple(Fraction(int(t == i - 1)) for t in range(r))
                 alpha_j = tuple(Fraction(int(t == j - 1)) for t in range(r))
                 assert e1 - e0 == datum.pairing(alpha_i, alpha_j)
+
+
+def q_binomial(n, k, d=1):
+    """Balanced q-binomial [n choose k] at q^d, for 0 <= k <= n."""
+    return q_factorial(n, d) / (q_factorial(k, d) * q_factorial(n - k, d))
 
 
 @pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0))])

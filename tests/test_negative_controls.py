@@ -115,6 +115,24 @@ def test_package_has_no_unused_imports():
     assert unused == []
 
 
+def test_only_qscalar_makes_scalars():
+    # qscalar routes every Scalar it returns through its shared table; a
+    # Scalar(...) or Scalar._raw(...) call elsewhere would bypass it
+    src = pathlib.Path(qschub.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "qscalar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "Scalar") or (
+                    isinstance(f, ast.Attribute) and f.attr == "_raw"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # functions and methods that nothing in the package calls, each kept for the
 # reason given; anything else without a caller is dead weight
 _NO_CALLER_IN_PACKAGE = {
@@ -131,7 +149,6 @@ _NO_CALLER_IN_PACKAGE = {
     "pbw.py:element_from_json": "inverse of element_to_json, for round-trip tests",
     "pbw.py:from_table_text": "inverse of table_text, for round-trip tests",
     "qscalar.py:q_integer": "q-combinatorics, tested against closed forms",
-    "qscalar.py:q_binomial": "q-combinatorics, tested against closed forms",
     "qscalar.py:specialize": "evaluation at a rational q, the property tests' oracle",
     "schubert.py:element_operator": "engine products against the module action, in tests",
     "schubert.py:minor_degree": "the degree of Delta_j, checked by tests",

@@ -1,11 +1,12 @@
 """Property tests for the Q(q) kernel over random Laurent-polynomial fractions.
 
 Hypothesis drives the field axioms, the canonical form, the text round trip,
-specialisation and the coefficient invariant, and checks the sparse accumulate
-helper against a dense sum; sympy's cancel is an independent oracle for
-products and quotients.
+specialisation, the coefficient invariant and the memo tables, and checks the
+sparse accumulate helper against a dense sum; sympy's cancel is an independent
+oracle for products and quotients.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from qschub.linalg import accumulate  # noqa: E402
+from qschub import qscalar  # noqa: E402
 from qschub.qscalar import (  # noqa: E402
     ZERO, ONE, Scalar, parse_scalar, q_bracket, qpow, render_scalar,
 )
@@ -126,6 +128,47 @@ def test_accumulate_matches_dense_reference(u, v, c, cancel):
     assert out == want
     assert all(x for x in out.values())
     assert v == v_before
+
+
+def _cold(op, *args):
+    # op computed with every table empty and cleared at each insertion
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qscalar, "MEMO_CAP", 1)
+        for name in ("_SHARED", "_MUL", "_ADD"):
+            mp.setattr(qscalar, name, {})
+        out = op(*args)
+        assert all(len(t) <= 1 for t in (qscalar._SHARED, qscalar._MUL, qscalar._ADD))
+    return out
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2), (2, 0), (1, 1))
+_OPS = (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: (u - v) * (u + v))
+
+
+@CASES
+@given(scalars(), scalars(), scalars())
+def test_memo_tables_are_pure_caches(a, b, c):
+    # every product and sum is looked up in warm tables (each pair after the
+    # others, twice over) and must equal, and hash like, the same operation
+    # with the tables empty and MEMO_CAP at 1
+    xs = (a, b, c)
+    for _ in range(2):
+        warm = [op(xs[i], xs[j]) for i, j in _PAIRS for op in _OPS]
+    cold = [_cold(op, xs[i], xs[j]) for i, j in _PAIRS for op in _OPS]
+    assert [(x.num, x.den, hash(x)) for x in warm] == [(x.num, x.den, hash(x)) for x in cold]
+    assert all(len(t) <= qscalar.MEMO_CAP
+               for t in (qscalar._SHARED, qscalar._MUL, qscalar._ADD))
+
+
+@CASES
+@given(scalars(), scalars())
+def test_an_unshared_scalar_is_interchangeable_with_the_shared_one(a, b):
+    shared = a * ONE
+    for x in (Scalar(dict(a.num), dict(a.den)), copy.deepcopy(shared)):
+        assert x is not shared
+        assert x == shared and hash(x) == hash(shared)
+        assert {shared: "v"}[x] == "v" and {x: "v"}[shared] == "v"
+        assert x * b == shared * b and b + x == b + shared
 
 
 def _sympy_of(s, q):

@@ -279,3 +279,17 @@ def test_inverse_of_non_involution():
         if label in ("A3",):
             v = datum.from_word((1, 2, 3))
             assert v.inverse().reduced_word() == (3, 2, 1)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_memoised_reduced_word_matches_a_fresh_descent_loop(label):
+    datum = root_datum(label)
+    for w in datum.lower_interval(datum.longest_element()):
+        word, u = [], w
+        while u.length:
+            i = min(j for j in range(1, datum.rank + 1) if u.sends_negative(j))
+            word.append(i)
+            u = u * datum.simple(i)
+        assert w.reduced_word() == tuple(reversed(word))
+        assert w.reduced_word() is w.reduced_word()
+        assert datum.from_word(w.reduced_word()) is w
