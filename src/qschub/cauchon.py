@@ -273,14 +273,6 @@ class DeletingDerivations:
         self._hi = None
         return states, current
 
-    def cauchon_coordinates(self, element):
-        """The image of one homogeneous element in the final coordinates."""
-        _, finals = self.run({"e": element})
-        return finals["e"]
-
-    def final_presentation(self):
-        return self.stage_presentation(2)
-
 
 def verify_main1b(cell, record_stages=False):
     """Check the product formula for every quantum minor of the cell.

@@ -27,6 +27,18 @@ unit vectors.  Exact, because whether a slice is full depends only on its
 span and every skipped insert would have been refused: the inserted rows,
 the saturation streak and every canonical echelon stay the same.
 
+The lab does the work that depends only on the word and the bound once,
+in tables it owns and drops with it.  For each swept weight it keeps the
+degrees that weight can reach, with their weights and basis indices, in
+`degrees()` order.  For each slice row r and generator x_m it keeps whether
+x_m r is a scalar multiple of r x_m, decided once by comparing the two
+products exactly; when it is, the closure adds only r x_m, since the left
+product would be refused right after it.  A unit row's products are the
+presentation's memoised monomial products, so only the decision is kept for
+it; a longer row keeps its products.  main2-ind plans every y's target
+first, y.s_last in the contraction case and y otherwise, and keeps a target
+slice of the shorter lab until its last use.
+
 Slices are the only ideal representation: membership is row reduction, the
 Cauchon diagram is computed by the leading-part/contraction recursion, and
 the slice-inclusion poset, normality exponents, and graded-growth fits all
@@ -111,6 +123,17 @@ def default_weight_sweep(rank, budget):
     return out[:budget]
 
 
+def _proportional(u, v):
+    """Whether u = mu * v for one scalar mu (mu = 0 when u is zero)."""
+    if not u:
+        return True
+    if u.keys() != v.keys():
+        return False
+    k = next(iter(v))
+    mu = u[k] / v[k]
+    return all(u[k] == mu * x for k, x in v.items())
+
+
 class IdealLab:
     def __init__(self, cell, bound, lambda_budget=12):
         self.cell = cell
@@ -123,6 +146,11 @@ class IdealLab:
         self._degrees = None
         self._phi_cache = {}
         self._shorter = None
+        self._weight_table = {}     # lam -> [(h, mu, idxs, set(idxs))]
+        self._row_products = {}     # (row items, m) -> generator products
+        self._unit_single = {}      # (mono, m) -> whether x_m mono ~ mono x_m
+        self._gen_monos = [None] + [self.pres.unit_mono(m)
+                                    for m in range(1, self.l + 1)]
 
     # -- ambient graded structure -------------------------------------------
 
@@ -193,6 +221,26 @@ class IdealLab:
                 ech.add({mono: ONE})
         return ech
 
+    def _weight_degrees(self, lam_fw, module):
+        """[(h, mu, idxs, set(idxs))] for the degrees h = mu - w(lam), mu a
+        weight of V(lam) with basis indices idxs, in `degrees()` order; built
+        once per weight."""
+        key = tuple(lam_fw)
+        hit = self._weight_table.get(key)
+        if hit is None:
+            wl = self.cell.word.element.act_weight(module.lam)
+            # mu - w(lam) lies in the root lattice, so its coordinates are integers
+            weight_at = {tuple(int(a - b) for a, b in zip(mu, wl)): mu
+                         for mu in module.weights}
+            hit = []
+            for h in self.degrees():
+                mu = weight_at.get(h)
+                if mu is not None:
+                    idxs = module.weights[mu]
+                    hit.append((h, mu, idxs, set(idxs)))
+            self._weight_table[key] = hit
+        return hit
+
     def _add_weight(self, slices, y_letters, lam_fw):
         """Add the pairing image of one weight; returns the (degree, pivot)
         pairs of the rows it inserted.
@@ -207,17 +255,12 @@ class IdealLab:
         for row in dem.rows:
             nu = module.wt_of[next(iter(row))]
             dem_by_weight.setdefault(nu, []).append(row)
-        wl = cell.word.element.act_weight(module.lam)
-        # mu - w(lam) lies in the root lattice, so its coordinates are integers
-        weight_at = {tuple(int(a - b) for a, b in zip(mu, wl)): mu
-                     for mu in module.weights}
         fresh = []
-        for h in slices:
-            mu = weight_at.get(h)
-            if mu is None or self._full(slices[h], h):
+        for h, mu, idxs, idx_set in self._weight_degrees(lam_fw, module):
+            ech = slices[h]
+            if self._full(ech, h):
                 continue
-            idxs = module.weights[mu]
-            rows = [{i: r[i] for i in r if i in idxs}
+            rows = [{i: r[i] for i in r if i in idx_set}
                     for r in dem_by_weight.get(mu, ())]
             orth = nullspace(rows, idxs)
             if not orth:
@@ -226,8 +269,8 @@ class IdealLab:
             for xi_row in orth:
                 xi = DualFunctional(module, xi_row)
                 el = cell.phi_from_dual(xi, vectors)
-                if el and slices[h].add(el):
-                    fresh.append((h, slices[h].pivots[-1]))
+                if el and ech.add(el):
+                    fresh.append((h, ech.pivots[-1]))
         return fresh
 
     def _ideal_closure(self, slices, fresh):
@@ -242,8 +285,10 @@ class IdealLab:
         height, so a popped degree is final for this run: its current reduced
         rows at the pivots inserted in this run span the inserted rows modulo
         the part closed before, and only they are multiplied.  No product is
-        formed for a full target slice, which would refuse it."""
-        pres, betas = self.pres, self.cell.betas
+        formed for a full target slice, which would refuse it, and a left
+        product that is a multiple of the right one is not added after it
+        (see `_generator_products`)."""
+        betas = self.cell.betas
         inserted = {}       # degree -> pivots inserted in this run
         heap = []
 
@@ -265,14 +310,40 @@ class IdealLab:
                 target = slices.get(hh)
                 if target is None:
                     continue
-                gen = pres.gen(m)
                 for row in rows:
                     if self._full(target, hh):
                         break
-                    for v in (pres.mul(row, gen), pres.mul(gen, row)):
+                    for v in self._generator_products(row, m):
                         if target.add(v):
                             note(hh, target.pivots[-1])
         return slices
+
+    def _generator_products(self, row, m):
+        """(r x_m, x_m r) for a slice row r, or (r x_m,) when x_m r is mu r x_m
+        for one scalar mu: added right after r x_m, it would be refused.
+
+        Decided once per (row, m) by comparing the two products exactly.  A
+        unit row's products are the presentation's memoised monomial
+        products, so only the decision is kept for it; a longer row keeps
+        its products.  The products are shared: callers only read them."""
+        pres = self.pres
+        if len(row) == 1:
+            (mono, c), = row.items()
+            if c.is_one():
+                gm = self._gen_monos[m]
+                right, left = pres._mul_mono(mono, gm), pres._mul_mono(gm, mono)
+                single = self._unit_single.get((mono, m))
+                if single is None:
+                    single = self._unit_single[(mono, m)] = _proportional(left, right)
+                return (right,) if single else (right, left)
+        key = (tuple(row.items()), m)
+        hit = self._row_products.get(key)
+        if hit is None:
+            gen = pres.gen(m)
+            right, left = pres.mul(row, gen), pres.mul(gen, row)
+            hit = (right,) if _proportional(left, right) else (right, left)
+            self._row_products[key] = hit
+        return hit
 
     def _phi_vectors(self, lam_fw, h):
         key = (tuple(lam_fw), tuple(h))
@@ -450,22 +521,31 @@ class IdealLab:
             out["ok"] &= rep["ok"]
         return out
 
-    def verify_main2_ind(self, y_letters):
-        """One deleting step on the ideal: leading part when the top index is
-        outside LP(y), contraction when it is inside; compared slicewise
-        against the independently built ideal of the shorter cell."""
+    def _main2_ind_plan(self, y_letters):
+        """(y, case, height cap, target word) of main2-ind for y: the target
+        is y.s_last in the contraction case and y otherwise."""
         y = self.datum.from_word(tuple(y_letters))
         lp = lp_index_set(self.cell.word, y)
         beta_l = self.cell.betas[self.l - 1]
         if self.l in lp:
             case, margin = "contraction", 0
+            target_y = (y * self.datum.simple(self.cell.letters[-1])).reduced_word()
         else:
             case, margin = "leading-part", LEADING_PART_MARGIN * sum(beta_l)
+            target_y = tuple(y_letters)
         ht_cap = self.bound - margin
         if ht_cap < 1:
             raise BoundError(f"main2-ind for y = {y.render()} ({case} case) "
                              f"compares no degree at bound {self.bound}; "
                              f"it needs bound >= {margin + 1}")
+        return y, case, ht_cap, tuple(target_y)
+
+    def verify_main2_ind(self, y_letters, keep_target=False):
+        """One deleting step on the ideal: leading part when the top index is
+        outside LP(y), contraction when it is inside; compared slicewise
+        against the independently built ideal of the shorter cell.  The
+        target slice leaves the shorter lab afterwards unless keep_target."""
+        y, case, ht_cap, target_y = self._main2_ind_plan(y_letters)
         sl = self.slices(tuple(y_letters))
         self._require_saturated(sl, "long-algebra slices")
         if self._shorter is None:
@@ -477,14 +557,9 @@ class IdealLab:
         # only the degrees of the shorter algebra are compared
         if case == "contraction":
             transformed = self._contract(sl.slices, self.l, sub_lab.degrees())
-            target_y = (y * self.datum.simple(self.cell.letters[-1])).reduced_word()
         else:
             transformed = self._leading_part(sl.slices, self.l, sub_lab.degrees())
-            target_y = tuple(y_letters)
         other = sub_lab.slices(target_y)
-        # most target slices are used once: keeping them all raised the peak
-        # memory of main2-ind on A3 by about 4%
-        del sub_lab._slices[tuple(target_y)]
         sub_lab._require_saturated(other, "short-algebra slices")
         mismatches = []
         compared = 0
@@ -504,6 +579,10 @@ class IdealLab:
                 if dim_mine != dim_theirs:
                     mismatches.append({"degree": list(h), "kind": "dimension",
                                        "mine": dim_mine, "theirs": dim_theirs})
+        if not keep_target:
+            # keeping every target slice raised the peak memory of main2-ind
+            # on A3 by about 4%
+            del sub_lab._slices[target_y]
         return {
             "y": y.render(), "case": case, "compared_degrees": compared,
             "height_cap": ht_cap, "mismatches": mismatches,
@@ -518,12 +597,18 @@ class IdealLab:
         return {m[:self.l - 1]: c for m, c in row.items()}
 
     def verify_main2_ind_all(self):
+        """main2-ind for every y in [e, w].  Every y's target is planned
+        first, and a target slice leaves the shorter lab after its last use:
+        y and y.s_last can share one."""
         out = {"type": self.datum.label, "word": list(self.cell.letters),
                "bound": self.bound, "cases": [], "ok": True}
         w = self.cell.word.element
-        for y in sorted(self.datum.lower_interval(w),
-                        key=lambda u: (u.length, u.render())):
-            rep = self.verify_main2_ind(y.reduced_word())
+        ys = [y.reduced_word() for y in sorted(self.datum.lower_interval(w),
+                                               key=lambda u: (u.length, u.render()))]
+        targets = [self._main2_ind_plan(y)[-1] for y in ys]
+        last_use = {target: i for i, target in enumerate(targets)}
+        for i, y in enumerate(ys):
+            rep = self.verify_main2_ind(y, keep_target=last_use[targets[i]] > i)
             out["cases"].append(rep)
             out["ok"] &= rep["ok"]
         return out

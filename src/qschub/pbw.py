@@ -323,15 +323,6 @@ class Presentation:
 
     # -- localisation-facing views ----------------------------------------------
 
-    def pivot_decomposition(self, e):
-        """e as {m: coefficient element with zero pivot slot} by pivot power."""
-        p = self.pivot if self.pivot is not None else self.l
-        out = {}
-        for m, c in e.items():
-            mm = tuple(0 if i == p - 1 else n for i, n in enumerate(m))
-            out.setdefault(m[p - 1], {})[mm] = c
-        return out
-
     def theta(self, e):
         """The deleting-derivations isomorphism on elements free of x_l.
 

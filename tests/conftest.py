@@ -40,3 +40,37 @@ def _braid_word_matrix(module, letters, invert=False):
 def braid_word_matrix():
     """The braid-word product helper, built letter by letter from scratch."""
     return _braid_word_matrix
+
+
+def _cauchon_coordinates(dd, element):
+    """The image of one homogeneous element in the chain's final coordinates."""
+    _, finals = dd.run({"e": element})
+    return finals["e"]
+
+
+@pytest.fixture
+def cauchon_coordinates():
+    """One element through the deleting-derivations chain dd."""
+    return _cauchon_coordinates
+
+
+@pytest.fixture
+def final_presentation():
+    """The chain's quantum affine space: the stage-2 presentation of dd."""
+    return lambda dd: dd.stage_presentation(2)
+
+
+def _pivot_decomposition(pres, e):
+    """e as {m: coefficient element with zero pivot slot} by pivot power."""
+    p = pres.pivot if pres.pivot is not None else pres.l
+    out = {}
+    for m, c in e.items():
+        mm = tuple(0 if i == p - 1 else n for i, n in enumerate(m))
+        out.setdefault(m[p - 1], {})[mm] = c
+    return out
+
+
+@pytest.fixture
+def pivot_decomposition():
+    """The pivot-power split of an element of a localised presentation."""
+    return _pivot_decomposition

@@ -103,7 +103,7 @@ def test_criterion_3_anchor_identity():
     _report(3, "top minor equals (q_a^-1 - q_a) F_{beta_l}", ok, started)
 
 
-def test_criterion_4_final_relation_matrix():
+def test_criterion_4_final_relation_matrix(final_presentation):
     started = time.time()
     ok = True
     for label, letters in MAIN1B_CASES:
@@ -112,7 +112,7 @@ def test_criterion_4_final_relation_matrix():
         # running the chain certifies each stage's relation table, including
         # the final pure q-commutation stage
         dd.run({})
-        final = dd.final_presentation()
+        final = final_presentation(dd)
         l = cell.l
         for k in range(2, l + 1):
             for j in range(1, k):

@@ -1,4 +1,6 @@
+import hashlib
 import heapq
+import json
 import random
 from itertools import count
 
@@ -281,6 +283,84 @@ def test_full_slice_shortcuts_change_nothing(label, word, bound, ys):
         assert lab.cauchon_diagram(got) == ref.cauchon_diagram(want), y
 
 
+def _multiple(u, v):
+    """Whether u = mu * v for some scalar mu, by trying the ratio at one key."""
+    if not u:
+        return True
+    if not v:
+        return False
+    k = next(iter(v))
+    if k not in u:
+        return False
+    mu = u[k] / v[k]
+    return {m: mu * x for m, x in v.items()} == u
+
+
+@pytest.mark.parametrize("label, word, bound", [
+    ("A3", (1, 2, 1, 3, 2, 1), 5),
+    ("B2", (1, 2, 1, 2), 6),
+], ids=["A3", "B2"])
+def test_generator_products_are_the_products_or_skip_a_multiple(label, word, bound):
+    lab = IdealLab(schubert_cell(label, word), bound)
+    pres = lab.pres
+    # both words have relations with tails, so products need not be monomials
+    assert pres.tails
+    singles = pairs = 0
+    for y in _interval(lab):
+        for h, ech in lab.slices(y.reduced_word()).slices.items():
+            for row in ech.rows:
+                for m in range(1, lab.l + 1):
+                    got = lab._generator_products(row, m)
+                    gen = pres.gen(m)
+                    right, left = pres.mul(row, gen), pres.mul(gen, row)
+                    assert got[0] == right
+                    if len(got) == 1:
+                        singles += 1
+                        assert _multiple(left, right), (y, h, m)
+                    else:
+                        pairs += 1
+                        assert len(got) == 2 and got[1] == left
+                        assert not _multiple(left, right), (y, h, m)
+    assert singles and pairs
+
+
+class _HandBuilt:
+    """A presentation whose products are fixed by hand: r x_1 = {a: 1, b: q}
+    and x_1 r = left for every row r."""
+
+    right = {"a": ONE, "b": qpow(1)}
+
+    def __init__(self, left):
+        self.left = left
+
+    def gen(self, m):
+        return {"x": ONE}
+
+    def mul(self, e1, e2):
+        return dict(self.left if "x" in e1 else self.right)
+
+    def _mul_mono(self, m1, m2):
+        return self.left if m1 == "x" else self.right
+
+
+@pytest.mark.parametrize("row", [{"r": ONE}, {"r": ONE, "s": qpow(2)}],
+                         ids=["unit-row", "longer-row"])
+def test_equal_keys_with_unequal_ratios_are_not_proportional(row):
+    def products(left):
+        lab = IdealLab(schubert_cell("A1", (1,)), 2)
+        lab.pres, lab._gen_monos = _HandBuilt(left), [None, "x"]
+        return lab._generator_products(row, 1)
+
+    # the same keys, with ratios 1 at a and q at b: both products are kept
+    assert products({"a": ONE, "b": qpow(2)}) == (_HandBuilt.right,
+                                                  {"a": ONE, "b": qpow(2)})
+    # x_1 r = q^2 (r x_1), and x_1 r = 0: the left product is skipped
+    assert products({"a": qpow(2), "b": qpow(3)}) == (_HandBuilt.right,)
+    assert products({}) == (_HandBuilt.right,)
+    # a key that only one side has
+    assert len(products({"a": ONE})) == len(products({"a": ONE, "c": ONE})) == 2
+
+
 def test_membership_criterion_top_root_vector(a2lab):
     # F_{beta_l} lies in the ideal exactly when l is in the LP index set
     pres = a2lab.pres
@@ -364,6 +444,31 @@ def test_main2_ind_a3_full_interval(built_labs):
     assert kinds.count("contraction") == 6  # y with 6 in LP(y)
     # one lab for the long word and one for the shorter word, shared by all 24 y
     assert len(built_labs) == 2
+
+
+def test_main2_ind_computes_each_target_once_and_keeps_none(built_labs, monkeypatch):
+    misses = []
+    slices = IdealLab.slices
+
+    def counted(self, y_letters):
+        if tuple(y_letters) not in self._slices:
+            misses.append((self, tuple(y_letters)))
+        return slices(self, y_letters)
+
+    monkeypatch.setattr(IdealLab, "slices", counted)
+    lab = IdealLab(schubert_cell("A3", (1, 2, 1, 3, 2, 1)), 6)
+    rep = lab.verify_main2_ind_all()
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "46b9d200ffa446382644fb4d9e39f2cf56b774cfafaedb2b9fb6444ea5a7a1bd"
+    long_lab, short_lab = built_labs
+    targets = [y for l, y in misses if l is short_lab]
+    # 24 ys share 18 distinct targets (y and y.s_last), each computed once
+    assert len(targets) == len(set(targets)) == 18
+    assert sum(l is long_lab for l, _ in misses) == 24
+    assert short_lab._slices == {}
+    # a direct call also drops its target after use
+    assert lab.verify_main2_ind((1, 2, 1, 3, 2, 1))["ok"]
+    assert short_lab._slices == {}
 
 
 def test_main2_ind_refuses_a_bound_that_compares_nothing():

@@ -276,3 +276,43 @@ def test_solve_and_invert_on_singular_systems():
         invert_matrix(_mat(cols), 3)
     with pytest.raises(ZeroDivisionError):
         invert_matrix({}, 2)
+
+
+@pytest.mark.parametrize("path, start, v", [
+    # a single-key residual becomes a fresh unit row
+    ("single-key", [{0: ONE, 2: qpow(1)}], {1: qpow(2)}),
+    # a longer residual is scaled to a monic row; with leading coefficient 1
+    # the scaling is the identity, and the row must still be a copy
+    ("normalised", [{0: ONE}], {1: qpow(1), 2: ONE, 3: qpow(-1)}),
+    ("normalised, monic", [{0: ONE}], {1: ONE, 2: qpow(1)}),
+    # the new pivot 1 is cleared from the earlier row {0: 1, 1: q, 2: 1}
+    ("back-substitution", [{0: ONE, 1: qpow(1), 2: ONE}], {1: qpow(-1), 3: ONE}),
+], ids=["single-key", "normalised", "normalised-monic", "back-substitution"])
+def test_echelon_never_mutates_or_keeps_its_argument(path, start, v):
+    # the ideal closure passes memoised products straight into add, reduce
+    # and contains, so none of them may change its argument or keep it as a row
+    ech = Echelon()
+    for row in start:
+        ech.add(row)
+    start0 = copy.deepcopy(start)
+    kept = list(ech.rows)
+    rows_before = copy.deepcopy(kept)
+    v0 = copy.deepcopy(v)
+    assert not ech.contains(v) and v == v0
+    assert ech.reduce(v) is not v and v == v0
+    assert ech.rows == rows_before
+    assert ech.add(v) and v == v0
+    assert all(row is not v for row in ech.rows)
+    if path == "back-substitution":
+        assert ech.rows[0] != rows_before[0] and 1 not in ech.rows[0]
+    else:
+        assert ech.rows[:-1] == rows_before
+    # a second insert of the same vector is refused and still leaves it alone
+    assert not ech.add(v) and ech.contains(v) and v == v0
+    assert all(row is not v for row in ech.rows)
+    # back-substitution replaces rows and never edits one that was read
+    assert kept == rows_before and start == start0
+    # the stored rows do not alias the argument: changing it changes no row
+    rows_after = copy.deepcopy(ech.rows)
+    v[99] = ONE
+    assert ech.rows == rows_after

@@ -136,8 +136,6 @@ def test_only_qscalar_makes_scalars():
 # functions and methods that nothing in the package calls, each kept for the
 # reason given; anything else without a caller is dead weight
 _NO_CALLER_IN_PACKAGE = {
-    "cauchon.py:cauchon_coordinates": "one element through the chain, a test entry point",
-    "cauchon.py:final_presentation": "the chain's quantum affine space, read by tests",
     "ideals.py:sample_complete_primeness": "sampled complete-primeness check, run by tests",
     "modules.py:weight_multiplicities": "Freudenthal oracle, independent of the modules "
                                         "it checks",
@@ -145,7 +143,6 @@ _NO_CALLER_IN_PACKAGE = {
     "modules.py:weight_dims": "module shape, compared with the Freudenthal oracle",
     "modules.py:k_exponent": "the K_i action, checked against the weights by tests",
     "pbw.py:normal_form": "normal form of a sum of words, a test entry point",
-    "pbw.py:pivot_decomposition": "pivot-power split, checked by invariant tests",
     "pbw.py:element_from_json": "inverse of element_to_json, for round-trip tests",
     "pbw.py:from_table_text": "inverse of table_text, for round-trip tests",
     "qscalar.py:q_integer": "q-combinatorics, tested against closed forms",
