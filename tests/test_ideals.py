@@ -306,9 +306,11 @@ def test_generator_products_are_the_products_or_skip_a_multiple(label, word, bou
     # both words have relations with tails, so products need not be monomials
     assert pres.tails
     singles = pairs = 0
+    unit_rows = set()
     for y in _interval(lab):
         for h, ech in lab.slices(y.reduced_word()).slices.items():
             for row in ech.rows:
+                unit_rows.add(len(row) == 1)
                 for m in range(1, lab.l + 1):
                     got = lab._generator_products(row, m)
                     gen = pres.gen(m)
@@ -321,7 +323,8 @@ def test_generator_products_are_the_products_or_skip_a_multiple(label, word, bou
                         pairs += 1
                         assert len(got) == 2 and got[1] == left
                         assert not _multiple(left, right), (y, h, m)
-    assert singles and pairs
+    # unit rows and longer rows, each product kept or skipped, all occur
+    assert singles and pairs and unit_rows == {True, False}
 
 
 class _HandBuilt:
@@ -458,6 +461,7 @@ def test_main2_ind_computes_each_target_once_and_keeps_none(built_labs, monkeypa
     monkeypatch.setattr(IdealLab, "slices", counted)
     lab = IdealLab(schubert_cell("A3", (1, 2, 1, 3, 2, 1)), 6)
     rep = lab.verify_main2_ind_all()
+    # the report main2-ind gave when every target was dropped after one use
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
     assert digest == "46b9d200ffa446382644fb4d9e39f2cf56b774cfafaedb2b9fb6444ea5a7a1bd"
     long_lab, short_lab = built_labs
