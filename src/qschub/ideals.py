@@ -30,12 +30,17 @@ the saturation streak and every canonical echelon stay the same.
 The lab does the work that depends only on the word and the bound once,
 in tables it owns and drops with it.  For each swept weight it keeps the
 degrees that weight can reach, with their weights and basis indices, in
-`degrees()` order.  For each slice row r and generator x_m it keeps whether
-x_m r is a scalar multiple of r x_m, decided once by comparing the two
-products exactly; when it is, the closure adds only r x_m, since the left
-product would be refused right after it.  A unit row's products are the
-presentation's memoised monomial products, so only the decision is kept for
-it; a longer row keeps its products.  main2-ind plans every y's target
+`degrees()` order.  For each degree h it keeps the degrees h + beta_m within
+the bound with their monomial counts, so the closure tests a target for
+fullness by comparing two lengths, and for each t the number of x_t-free
+monomials of every degree, which the leading part reads.  For each slice
+row r and generator x_m it keeps whether x_m r is a scalar multiple of
+r x_m, decided once by comparing the two products exactly; when it is, the
+closure adds only r x_m, since the left product would be refused right
+after it.  A unit row's products are the presentation's memoised monomial
+products, so only the decision is kept for it, and its left product is
+formed only when the closure adds it or the decision needs it; a longer
+row keeps its products.  main2-ind plans every y's target
 first, y.s_last in the contraction case and y otherwise, and keeps a target
 slice of the shorter lab until its last use.
 
@@ -149,6 +154,8 @@ class IdealLab:
         self._weight_table = {}     # lam -> [(h, mu, idxs, set(idxs))]
         self._row_products = {}     # (row items, m) -> generator products
         self._unit_single = {}      # (mono, m) -> whether x_m mono ~ mono x_m
+        self._successors = None     # h -> [(m, h + beta_m, monomial count)]
+        self._free_counts = {}      # t -> {h: number of x_t-free monomials}
         self._gen_monos = [None] + [self.pres.unit_mono(m)
                                     for m in range(1, self.l + 1)]
 
@@ -212,6 +219,33 @@ class IdealLab:
     def _full(self, ech, h):
         """Whether the slice ech at degree h spans every monomial of degree h."""
         return len(ech) == len(self.degrees()[h])
+
+    def successors(self):
+        """{h: [(m, h + beta_m, number of monomials of degree h + beta_m)]}
+        over the degrees h and the generators m whose product stays within
+        the bound; built once per lab."""
+        if self._successors is None:
+            degrees = self.degrees()
+            betas = list(enumerate(map(tuple, self.cell.betas), 1))
+            out = {}
+            for h in degrees:
+                out[h] = []
+                for m, beta in betas:
+                    hh = tuple(a + b for a, b in zip(h, beta))
+                    monos = degrees.get(hh)
+                    if monos is not None:
+                        out[h].append((m, hh, len(monos)))
+            self._successors = out
+        return self._successors
+
+    def free_counts(self, t):
+        """{h: number of x_t-free monomials of degree h}; built once per t."""
+        hit = self._free_counts.get(t)
+        if hit is None:
+            hit = {h: sum(1 for mono in monos if not mono[t - 1])
+                   for h, monos in self.degrees().items()}
+            self._free_counts[t] = hit
+        return hit
 
     def _free_units(self, h, t):
         """The unit vectors of the x_t-free monomials of degree h, as an echelon."""
@@ -288,7 +322,7 @@ class IdealLab:
         formed for a full target slice, which would refuse it, and a left
         product that is a multiple of the right one is not added after it
         (see `_generator_products`)."""
-        betas = self.cell.betas
+        successors = self.successors()
         inserted = {}       # degree -> pivots inserted in this run
         heap = []
 
@@ -305,13 +339,10 @@ class IdealLab:
             pivs = inserted.pop(h)
             ech = slices[h]
             rows = [row for piv, row in zip(ech.pivots, ech.rows) if piv in pivs]
-            for m in range(1, self.l + 1):
-                hh = tuple(a + b for a, b in zip(h, betas[m - 1]))
-                target = slices.get(hh)
-                if target is None:
-                    continue
+            for m, hh, n_monos in successors[h]:
+                target = slices[hh]
                 for row in rows:
-                    if self._full(target, hh):
+                    if len(target) == n_monos:
                         break
                     for v in self._generator_products(row, m):
                         if target.add(v):
@@ -331,8 +362,11 @@ class IdealLab:
             (mono, c), = row.items()
             if c.is_one():
                 gm = self._gen_monos[m]
-                right, left = pres._mul_mono(mono, gm), pres._mul_mono(gm, mono)
+                right = pres._mul_mono(mono, gm)
                 single = self._unit_single.get((mono, m))
+                if single:
+                    return (right,)
+                left = pres._mul_mono(gm, mono)
                 if single is None:
                     single = self._unit_single[(mono, m)] = _proportional(left, right)
                 return (right,) if single else (right, left)
@@ -461,9 +495,10 @@ class IdealLab:
         result spans every x_t-free monomial of degree hp; a full slice at
         hp + m*beta_t gives all of them at once, as unit vectors."""
         beta = self.cell.betas[t - 1]
+        free_counts = self.free_counts(t)
         out = {}
         for hp in degrees:
-            n_free = sum(1 for mono in self.degrees()[hp] if not mono[t - 1])
+            n_free = free_counts[hp]
             target = Echelon()
             m = 0
             while len(target) < n_free:
@@ -485,7 +520,7 @@ class IdealLab:
                                             if c in rows[i]} for c in bad_cols]
                         combos = nullspace(constraint_rows, list(range(len(rows))))
                     for el in self._combo_elements(rows, combos):
-                        lead = {tuple(0 if i == t - 1 else n for i, n in enumerate(mm)): c
+                        lead = {mm[:t - 1] + (0,) + mm[t:]: c
                                 for mm, c in el.items() if mm[t - 1] == m}
                         if lead:
                             target.add(lead)

@@ -53,7 +53,13 @@ def vec_add(u, v, c=None):
 
 
 class Echelon:
-    """Row echelon span accumulator with exact reduction."""
+    """Row echelon span accumulator with exact reduction.
+
+    The keys within one echelon are all ints or all tuples, so a residual's
+    pivot is its plain `min`.  An explicit zero entry of an argument counts
+    as absent: it may survive into a residual, so `add` and `contains` test
+    and normalise the residual with zeros dropped, and every stored row stays
+    free of zeros."""
 
     def __init__(self):
         self.rows = []     # reduced rows, each with leading coeff 1 at its pivot
@@ -63,15 +69,28 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v):
-        """Fully reduce v against the span; returns the residual vector."""
+        """Fully reduce v against the span; returns the residual vector,
+        which keeps any explicit zero entries of v off the pivots."""
         v = dict(v)
         for piv, row in zip(self.pivots, self.rows):
             c = v.get(piv)
-            if c is not None and not c.is_zero():
-                if len(row) == 1:
-                    del v[piv]
-                else:
-                    accumulate(v, row, -c)
+            if c is None:
+                continue
+            if len(row) == 1:
+                del v[piv]
+                continue
+            # accumulate(v, row, -c), inlined: the row is zero-free, so a
+            # zero can only come from a cancelling sum
+            c = -c
+            for k, x in row.items():
+                x = c * x
+                s = v.get(k)
+                if s is not None:
+                    x = s + x
+                    if not x:
+                        del v[k]
+                        continue
+                v[k] = x
         return v
 
     def add(self, v):
@@ -79,20 +98,35 @@ class Echelon:
         r = self.reduce(v)
         if not r:
             return False
-        piv = min(r, key=lambda k: (k if isinstance(k, tuple) else (k,)))
-        # a single-key residual normalises to a unit row with no inverse
-        r = {piv: ONE} if len(r) == 1 else vec_scale(r, r[piv].inverse())
+        piv = min(r)
+        c = r[piv]
+        if not c:
+            # explicit zeros of v are left in r; drop them and look again
+            r = {k: x for k, x in r.items() if x}
+            if not r:
+                return False
+            piv = min(r)
+            c = r[piv]
+        # normalise to 1 at the pivot, dropping zeros: a single-key residual
+        # is a unit row, with no inverse
+        if len(r) == 1:
+            r = {piv: ONE}
+        elif c.is_one():
+            r = {k: x for k, x in r.items() if x}
+        else:
+            c = c.inverse()
+            r = {k: c * x for k, x in r.items() if x}
         # back-substitute into existing rows to keep them fully reduced
         for i, row in enumerate(self.rows):
             x = row.get(piv)
-            if x is not None and not x.is_zero():
+            if x is not None:
                 self.rows[i] = vec_add(row, r, -x)
         self.rows.append(r)
         self.pivots.append(piv)
         return True
 
     def contains(self, v):
-        return not self.reduce(v)
+        return not any(self.reduce(v).values())
 
     def extend(self, vectors):
         grew = False
@@ -148,7 +182,7 @@ def nullspace(rows, columns):
         v = {f: ONE}
         for piv, row in zip(ech.pivots, ech.rows):
             c = row.get(f)
-            if c is not None and not c.is_zero():
+            if c is not None:
                 v[piv] = -c
         basis.append(v)
     return basis

@@ -106,6 +106,10 @@ class WeightModule:
         self.gram = {}             # weight -> {(r_loc, c_loc): Scalar}
         self._braid = {}
         self._braid_inv = {}
+        r = datum.rank
+        # the simple roots in root coordinates, read in every weight's loops
+        self._simple_roots = [tuple(Fraction(int(k == i)) for k in range(r))
+                              for i in range(r)]
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -120,7 +124,7 @@ class WeightModule:
         while level:
             candidates = sorted({_vsub(nu, alpha)
                                  for nu in level
-                                 for alpha in self._simple_roots()})
+                                 for alpha in self._simple_roots})
             next_level = []
             for nu in candidates:
                 if self._process_weight(nu):
@@ -129,15 +133,11 @@ class WeightModule:
                 raise ValueError(f"module dimension exceeds cap {DIMENSION_CAP}")
             level = next_level
 
-    def _simple_roots(self):
-        r = self.datum.rank
-        return [tuple(Fraction(int(k == i)) for k in range(r)) for i in range(r)]
-
     def _process_weight(self, nu):
         datum = self.datum
         spanning = []          # (i, parent local index, parent weight)
         for i in range(1, datum.rank + 1):
-            up = _vadd(nu, self._simple_roots()[i - 1])
+            up = _vadd(nu, self._simple_roots[i - 1])
             for loc, _ in enumerate(self.weights.get(up, ())):
                 spanning.append((i, loc, up))
         if not spanning:
@@ -259,7 +259,7 @@ class WeightModule:
 
     def k_exponent(self, i, idx):
         """K_i acts on basis vector idx by q^e with e = <wt, alpha_i>."""
-        e = self.datum.pairing(self.wt_of[idx], self._simple_roots()[i - 1])
+        e = self.datum.pairing(self.wt_of[idx], self._simple_roots[i - 1])
         if e.denominator != 1:
             raise EngineError(f"K_{i} eigenvalue exponent {e} at weight "
                               f"{self.wt_of[idx]} is not an integer")

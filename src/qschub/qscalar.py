@@ -15,14 +15,17 @@ hashable.  All operations are pure and exact; no floating point anywhere.
 
 The engine repeats a few scalar operations many times over (on the benchmark
 campaigns, 90-98% of products and 64-97% of sums have been computed before),
-so three module tables memoise it:
+so four module tables memoise it:
 
   * _SHARED maps a canonical form (num, den) to the one shared Scalar with
     that value.  Every Scalar this module returns (ZERO, ONE, qpow,
     from_fraction, q_bracket, products, sums, negations, inverses) passes
     through it, so equal results are one object;
   * _MUL and _ADD map an operand pair (a, b) to the shared a*b and a+b, and
-    __mul__ and __add__ look the pair up before computing anything.
+    __mul__ and __add__ look the pair up before computing anything.  The
+    negation -a is a*(-1), kept in _MUL under the pair (a, MINUS_ONE), so
+    -a, a - b and a * MINUS_ONE share one entry;
+  * _INV maps a to the shared a.inverse(), which a / b also reads.
 
 Since equal values are one object, the dicts, tuples and == checks above this
 layer mostly succeed on CPython's identity shortcut instead of comparing
@@ -61,6 +64,7 @@ MEMO_CAP = 8192
 _SHARED = {}    # (num, den) -> the shared Scalar with that canonical form
 _MUL = {}       # (a, b) -> a * b
 _ADD = {}       # (a, b) -> a + b
+_INV = {}       # a -> a.inverse()
 
 
 def _remember(table, key, value):
@@ -276,7 +280,12 @@ class Scalar:
         return _share(Scalar(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)))
 
     def __neg__(self):
-        return Scalar._raw(tuple((e, -c) for e, c in self.num), self.den)
+        key = (self, MINUS_ONE)
+        out = _MUL.get(key)
+        if out is None:
+            out = _remember(_MUL, key, Scalar._raw(
+                tuple([(e, -c) for e, c in self.num]), self.den))
+        return out
 
     def __sub__(self, other):
         return self + (-other)
@@ -302,6 +311,10 @@ class Scalar:
         return _share(Scalar(_pmul(dict(a), dict(b)), _pmul(dict(self.den), dict(other.den))))
 
     def inverse(self):
+        out = _INV.get(self)
+        return _remember(_INV, self, self._inverse()) if out is None else out
+
+    def _inverse(self):
         # num = c*q^s*P with P(0) != 0 and P monic, coprime to den; so the
         # inverse is (q^-s*den/c) / P, canonical without a gcd.
         num = self.num
@@ -353,6 +366,7 @@ class Scalar:
 
 ZERO = _share(Scalar({}))
 ONE = _share(Scalar({0: 1}))
+MINUS_ONE = _share(Scalar({0: -1}))
 
 
 def qpow(e):

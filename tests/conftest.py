@@ -1,5 +1,9 @@
+import ast
+import inspect
+
 import pytest
 
+from qschub import qscalar
 from qschub.ideals import IdealLab
 from qschub.linalg import mat_mul
 from qschub.qscalar import ONE
@@ -74,3 +78,12 @@ def _pivot_decomposition(pres, e):
 def pivot_decomposition():
     """The pivot-power split of an element of a localised presentation."""
     return _pivot_decomposition
+
+
+@pytest.fixture
+def scalar_memo_tables():
+    """The names of the module tables that qscalar._remember writes, read
+    from every _remember(table, ...) call in the qscalar source."""
+    tree = ast.parse(inspect.getsource(qscalar))
+    return {node.args[0].id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_remember"}

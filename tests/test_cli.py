@@ -289,14 +289,16 @@ def test_python_m_qschub_runs_the_cli(tmp_path):
     assert done.stdout
 
 
-def test_campaign_report_does_not_depend_on_the_scalar_tables(tmp_path, monkeypatch):
+def test_campaign_report_does_not_depend_on_the_scalar_tables(tmp_path, monkeypatch,
+                                                             scalar_memo_tables):
     # the Q(q) memo tables are pure caches: the same report bytes at
     # MEMO_CAP = 1, where every insertion clears its table, as at the default
     from qschub import modules, qscalar, schubert, subwords
     cfg = tmp_path / "c.cfg"
     cfg.write_text("case = A2 : 1,2,1 : main1b,main2,main2-ind,poset,gk,normality\n"
                    "case = B2 : 1,2,1,2 : main1b\n")
-    tables = ("_SHARED", "_MUL", "_ADD")
+    tables = ("_SHARED", "_MUL", "_ADD", "_INV")
+    assert scalar_memo_tables == set(tables)
     reports = []
     for cap in (qscalar.MEMO_CAP, 1):
         monkeypatch.setattr(qscalar, "MEMO_CAP", cap)

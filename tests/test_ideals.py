@@ -327,6 +327,28 @@ def test_generator_products_are_the_products_or_skip_a_multiple(label, word, bou
     assert singles and pairs and unit_rows == {True, False}
 
 
+@pytest.mark.parametrize("label, word", [("A3", (1, 2, 1, 3, 2, 1)), ("B2", (1, 2, 1, 2))],
+                         ids=["A3", "B2"])
+def test_lab_tables_match_the_direct_computation(label, word):
+    lab = IdealLab(schubert_cell(label, word), 6)
+    degrees, betas = lab.degrees(), lab.cell.betas
+    want = {}
+    for h in degrees:
+        want[h] = []
+        for m in range(1, lab.l + 1):
+            hh = tuple(a + b for a, b in zip(h, betas[m - 1]))
+            if hh in degrees:
+                want[h].append((m, hh, len(degrees[hh])))
+    assert lab.successors() == want
+    # some products leave the bound and some stay inside it
+    assert any(len(s) < lab.l for s in want.values()) and any(want.values())
+    for t in range(1, lab.l + 1):
+        counts = lab.free_counts(t)
+        assert counts == {h: len([mono for mono in monos if mono[t - 1] == 0])
+                          for h, monos in degrees.items()}
+        assert lab.free_counts(t) is counts
+
+
 class _HandBuilt:
     """A presentation whose products are fixed by hand: r x_1 = {a: 1, b: q}
     and x_1 r = left for every row r."""

@@ -1,6 +1,7 @@
 """The sparse accumulate helper: copies stay copies, memoised dicts stay
-intact; the echelon's unit-row shortcuts against the plain elimination, and
-the echelon-based solve and inverse against list-based Gauss-Jordan loops."""
+intact; the echelon's unit-row shortcuts, and its handling of explicit zero
+entries, against the plain elimination, and the echelon-based solve and
+inverse against list-based Gauss-Jordan loops."""
 
 import copy
 
@@ -11,7 +12,7 @@ import pytest
 from qschub.linalg import (
     Echelon, accumulate, invert_matrix, mat_mul, solve_columns, vec_add, vec_scale,
 )
-from qschub.qscalar import ZERO, ONE, qpow
+from qschub.qscalar import ZERO, ONE, Scalar, qpow
 from qschub.schubert import schubert_cell
 
 
@@ -90,24 +91,56 @@ class LoopEchelon(Echelon):
         return True
 
 
-_keys = st.integers(0, 6)
+def _nonzero(v):
+    return {k: x for k, x in v.items() if x}
+
+
 _coeffs = st.sampled_from([ONE, -ONE, qpow(1), qpow(-2), ONE + qpow(1),
                            qpow(1) - qpow(-1)])
-_singles = st.builds(lambda k, c: {k: c}, _keys, _coeffs)
-# three draws in four are single monomials, so unit rows occur
-_vectors = st.one_of(_singles, _singles, _singles,
-                     st.dictionaries(_keys, _coeffs, min_size=2, max_size=4))
+# an explicit zero entry, shared or built apart from the shared ZERO
+_zeros = st.sampled_from([ZERO, Scalar({})])
+
+
+@st.composite
+def _echelon_inputs(draw):
+    """Inserts and probes over int keys or over tuple keys, the monomials of
+    the ideal slices; one entry in five is an explicit zero."""
+    keys = draw(st.sampled_from([st.integers(0, 6),
+                                 st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                           st.integers(0, 1))]))
+    entries = st.one_of(_coeffs, _coeffs, _coeffs, _coeffs, _zeros)
+    singles = st.builds(lambda k, c: {k: c}, keys, entries)
+    # three draws in four are single monomials, so unit rows occur
+    vectors = st.one_of(singles, singles, singles,
+                        st.dictionaries(keys, entries, min_size=2, max_size=4))
+    return (draw(st.lists(vectors, max_size=10)), draw(st.lists(vectors, max_size=4)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_vectors, max_size=10), st.lists(_vectors, max_size=4))
-def test_echelon_matches_the_loop_reference(inserts, probes):
+@given(_echelon_inputs())
+def test_echelon_matches_the_loop_reference(inputs):
+    # the reference sees every vector with its zero entries dropped
+    inserts, probes = inputs
     ech, ref = Echelon(), LoopEchelon()
     for v in inserts:
-        assert ech.add(v) == ref.add(v)
+        assert ech.add(v) == ref.add(_nonzero(v))
         assert (ech.pivots, ech.rows) == (ref.pivots, ref.rows)
+        assert all(all(row.values()) for row in ech.rows)
     for v in inserts + probes:
-        assert ech.reduce(v) == ref.reduce(v)
+        assert _nonzero(ech.reduce(v)) == ref.reduce(_nonzero(v))
+        assert ech.contains(v) == (not ref.reduce(_nonzero(v)))
+
+
+def test_explicit_zero_entries_count_as_absent():
+    ech = Echelon()
+    assert not ech.add({(1,): ZERO}) and not ech.add({(1,): Scalar({})})
+    assert len(ech) == 0
+    assert ech.add({(1,): ZERO, (2,): ONE})
+    assert (ech.pivots, ech.rows) == ([(2,)], [{(2,): ONE}])
+    assert ech.add({(0,): ZERO, (1,): qpow(1), (3,): qpow(2)})
+    assert (ech.pivots[-1], ech.rows[-1]) == ((1,), {(1,): ONE, (3,): qpow(1)})
+    assert ech.contains({(2,): ZERO}) and ech.contains({(4,): ZERO, (2,): qpow(3)})
+    assert not ech.contains({(4,): ZERO, (3,): ONE})
 
 
 # Reference Gauss-Jordan loops over dense lists, with a fewest-terms pivot

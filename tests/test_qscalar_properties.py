@@ -130,19 +130,25 @@ def test_accumulate_matches_dense_reference(u, v, c, cancel):
     assert v == v_before
 
 
+# every module table that qscalar._remember writes
+_TABLES = ("_SHARED", "_MUL", "_ADD", "_INV")
+
+
 def _cold(op, *args):
     # op computed with every table empty and cleared at each insertion
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qscalar, "MEMO_CAP", 1)
-        for name in ("_SHARED", "_MUL", "_ADD"):
+        for name in _TABLES:
             mp.setattr(qscalar, name, {})
         out = op(*args)
-        assert all(len(t) <= 1 for t in (qscalar._SHARED, qscalar._MUL, qscalar._ADD))
+        assert all(len(getattr(qscalar, name)) <= 1 for name in _TABLES)
     return out
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2), (2, 0), (1, 1))
-_OPS = (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: (u - v) * (u + v))
+_OPS = (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: (u - v) * (u + v),
+        lambda u, v: -u, lambda u, v: u.inverse() if u else u,
+        lambda u, v: u / v if v else u)
 
 
 @CASES
@@ -156,8 +162,13 @@ def test_memo_tables_are_pure_caches(a, b, c):
         warm = [op(xs[i], xs[j]) for i, j in _PAIRS for op in _OPS]
     cold = [_cold(op, xs[i], xs[j]) for i, j in _PAIRS for op in _OPS]
     assert [(x.num, x.den, hash(x)) for x in warm] == [(x.num, x.den, hash(x)) for x in cold]
-    assert all(len(t) <= qscalar.MEMO_CAP
-               for t in (qscalar._SHARED, qscalar._MUL, qscalar._ADD))
+    assert all(len(getattr(qscalar, name)) <= qscalar.MEMO_CAP for name in _TABLES)
+
+
+def test_every_remembered_table_is_in_the_purity_lists(scalar_memo_tables):
+    # a new memo table must be emptied and capped by the purity tests too
+    assert scalar_memo_tables == set(_TABLES)
+    assert all(isinstance(getattr(qscalar, name), dict) for name in _TABLES)
 
 
 @CASES
