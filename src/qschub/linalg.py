@@ -69,8 +69,11 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v):
-        """Fully reduce v against the span; returns the residual vector,
-        which keeps any explicit zero entries of v off the pivots."""
+        """Fully reduce v against the span; returns the residual vector.
+
+        The residual may hold explicit zero entries: those of v at keys that
+        are not pivots, and, when v has an explicit zero at the pivot of a
+        row of two or more keys, new ones at that row's other keys."""
         v = dict(v)
         for piv, row in zip(self.pivots, self.rows):
             c = v.get(piv)
@@ -111,8 +114,6 @@ class Echelon:
         # is a unit row, with no inverse
         if len(r) == 1:
             r = {piv: ONE}
-        elif c.is_one():
-            r = {k: x for k, x in r.items() if x}
         else:
             c = c.inverse()
             r = {k: c * x for k, x in r.items() if x}

@@ -280,12 +280,7 @@ class Scalar:
         return _share(Scalar(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)))
 
     def __neg__(self):
-        key = (self, MINUS_ONE)
-        out = _MUL.get(key)
-        if out is None:
-            out = _remember(_MUL, key, Scalar._raw(
-                tuple([(e, -c) for e, c in self.num]), self.den))
-        return out
+        return self * MINUS_ONE
 
     def __sub__(self, other):
         return self + (-other)
