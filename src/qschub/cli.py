@@ -163,8 +163,7 @@ def _verify_one(kind, label, letters, bound, lambda_budget, labs=None):
         datum = cell.datum
         cases = []
         ok = True
-        for y in sorted(datum.lower_interval(cell.word.element),
-                        key=lambda u: (u.length, u.render())):
+        for y in datum.ordered_interval(cell.word.element):
             fit = lab.gk_exponent_fit(y.reduced_word())
             want = cell.l - y.length
             cases.append({"y": y.render(), "fit": fit, "expected": want,
@@ -177,8 +176,7 @@ def _verify_one(kind, label, letters, bound, lambda_budget, labs=None):
     ok = True
     fundamentals = [tuple(int(t == a) for t in range(datum.rank))
                     for a in range(datum.rank)]
-    for y in sorted(datum.lower_interval(cell.word.element),
-                    key=lambda u: (u.length, u.render())):
+    for y in datum.ordered_interval(cell.word.element):
         for lam in fundamentals:
             rep = lab.verify_normality(y.reduced_word(), lam)
             cases.append(rep)
@@ -275,8 +273,7 @@ def _expand_words(label, word_field, length_cap):
     if word_field.startswith("all<="):
         cap = min(int(word_field[5:]), length_cap)
         out = []
-        for w in sorted(datum.lower_interval(datum.longest_element()),
-                        key=lambda u: (u.length, u.render())):
+        for w in datum.ordered_interval(datum.longest_element()):
             if 0 < w.length <= cap:
                 out.extend(sorted(datum.all_reduced_words(w)))
         return out

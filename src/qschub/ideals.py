@@ -22,10 +22,10 @@ is canonical, so the slices do not depend on the order in which rows arrive.
 A slice is full when its dimension is the number of PBW monomials of its
 degree: it spans that whole degree, so no insert can change it.  The sweep
 and the closure skip every pairing image and product bound for a full slice,
-and the contraction and leading part write the result of a full slice as
-unit vectors.  Exact, because whether a slice is full depends only on its
-span and every skipped insert would have been refused: the inserted rows,
-the saturation streak and every canonical echelon stay the same.
+and the layer routine of the Cauchon recursion writes the layer of a full
+slice as unit vectors.  Exact, because whether a slice is full depends only
+on its span and every skipped insert would have been refused: the inserted
+rows, the saturation streak and every canonical echelon stay the same.
 
 The lab does the work that depends only on the word and the bound once,
 in tables it owns and drops with it.  For each swept weight it keeps the
@@ -47,9 +47,13 @@ slice of the shorter lab until its last use.
 Slices are the only ideal representation: membership is row reduction, the
 Cauchon diagram is computed by the leading-part/contraction recursion, and
 the slice-inclusion poset, normality exponents, and graded-growth fits all
-read the same data.  The recursion transforms only the degrees that its
-later steps read, and main2-ind only the degrees of the shorter algebra,
-which are the ones it compares.
+read the same data.  Both transforms of the recursion are one layer routine:
+the x_t^m layer, x_t stripped, of the combinations of a slice's rows whose
+x_t-degree is at most m.  The contraction by x_t is layer 0 of each degree,
+and the leading part at degree hp spans the layers m of hp + m*beta_t.  The
+recursion transforms only the degrees that its later steps read, and
+main2-ind only the degrees of the shorter algebra, which are the ones it
+compares.
 """
 
 import heapq
@@ -83,21 +87,14 @@ class GradedIdealSlices:
         self.bound = bound
         self.saturated = saturated
         self.lambdas_used = lambdas_used
-        self.slices = slices          # degree tuple -> Echelon (may be missing)
+        self.slices = slices          # degree tuple -> Echelon, every degree
         self.dims_ambient = dims_ambient
 
     def dim(self, h):
-        ech = self.slices.get(tuple(h))
-        return len(ech) if ech is not None else 0
-
-    def echelon(self, h):
-        return self.slices.get(tuple(h))
+        return len(self.slices[tuple(h)])
 
     def contains(self, h, vec):
-        ech = self.slices.get(tuple(h))
-        if ech is None:
-            return not vec
-        return ech.contains(vec)
+        return self.slices[tuple(h)].contains(vec)
 
     def dims_json(self):
         return {",".join(map(str, h)): len(e) for h, e in sorted(self.slices.items())
@@ -247,14 +244,6 @@ class IdealLab:
             self._free_counts[t] = hit
         return hit
 
-    def _free_units(self, h, t):
-        """The unit vectors of the x_t-free monomials of degree h, as an echelon."""
-        ech = Echelon()
-        for mono in self.degrees()[h]:
-            if not mono[t - 1]:
-                ech.add({mono: ONE})
-        return ech
-
     def _weight_degrees(self, lam_fw, module):
         """[(h, mu, idxs, set(idxs))] for the degrees h = mu - w(lam), mu a
         weight of V(lam) with basis indices idxs, in `degrees()` order; built
@@ -393,7 +382,7 @@ class IdealLab:
         if not element:
             return True
         h = tuple(-x for x in self.pres.degree(element))
-        if sum(h) > self.bound or tuple(h) not in self.degrees():
+        if h not in self.degrees():
             raise BoundError(f"degree {h} outside the computed bound {self.bound}")
         return slice_set.contains(h, element)
 
@@ -438,94 +427,76 @@ class IdealLab:
                     f"the bound {self.bound}; it needs bound >= "
                     f"{max(map(sum, betas))}")
             pivot_mono = tuple(1 if i == t - 1 else 0 for i in range(self.l))
-            ech = slices.get(h_pivot)
-            pivot_in = ech is not None and ech.contains({pivot_mono: ONE})
-            if pivot_in:
+            if slices[h_pivot].contains({pivot_mono: ONE}):
                 diagram.add(t)
                 slices = self._contract(slices, t, need[t - 1])
             else:
                 slices = self._leading_part(slices, t, need[t - 1])
         return frozenset(diagram)
 
-    def _combo_elements(self, rows, coeffs_list):
+    def _layer(self, ech, h, t, m):
+        """The x_t^m layers, with x_t stripped, of the combinations of the
+        rows of ech, the slice at degree h, whose x_t-degree is at most m.
+
+        A full slice gives the stripped unit vectors of its monomials of
+        x_t-degree m, with no elimination.  A combination left with a monomial
+        of x_t-degree above m raises EngineError."""
+        if self._full(ech, h):
+            elements = [{mono: ONE} for mono in self.degrees()[h] if mono[t - 1] == m]
+        else:
+            elements = rows = ech.rows
+            bad_cols = sorted({mono for r in rows for mono in r if mono[t - 1] > m})
+            if bad_cols:
+                constraints = [{i: r[c] for i, r in enumerate(rows) if c in r}
+                               for c in bad_cols]
+                elements = []
+                for coeffs in nullspace(constraints, range(len(rows))):
+                    el = {}
+                    for i, c in coeffs.items():
+                        accumulate(el, rows[i], c)
+                    elements.append(el)
         out = []
-        for coeffs in coeffs_list:
-            el = {}
-            for i, c in coeffs.items():
-                accumulate(el, rows[i], c)
-            if el:
-                out.append(el)
+        for el in elements:
+            layer = {}
+            for mono, c in el.items():
+                k = mono[t - 1]
+                if k == m:
+                    layer[mono[:t - 1] + (0,) + mono[t:] if k else mono] = c
+                elif k > m:
+                    raise EngineError(f"a combination at degree {h} of x_{t}-degree "
+                                      f"at most {m} left a monomial of x_{t}-degree {k}")
+            if layer:
+                out.append(layer)
         return out
 
     def _contract(self, slices, t, degrees):
         """{v in J_h : v free of x_t} for each h in degrees, an exact
-        slice-level contraction; it reads the slices at those degrees only.
-
-        The slices are only read.  A full slice contracts to the unit vectors
-        of its x_t-free monomials, with no elimination."""
+        slice-level contraction: layer 0 of the slice at h (see `_layer`).
+        The slices are only read, at those degrees only."""
         out = {}
         for h in degrees:
-            ech = slices[h]
-            if self._full(ech, h):
-                out[h] = self._free_units(h, t)
-                continue
-            rows = ech.rows
-            target = Echelon()
-            if rows:
-                bad_cols = sorted({m for r in rows for m in r if m[t - 1] != 0})
-                if not bad_cols:
-                    combos = [{i: ONE} for i in range(len(rows))]
-                else:
-                    constraint_rows = [{i: rows[i][c] for i in range(len(rows))
-                                        if c in rows[i]} for c in bad_cols]
-                    combos = nullspace(constraint_rows, list(range(len(rows))))
-                for el in self._combo_elements(rows, combos):
-                    if any(m[t - 1] for m in el):
-                        raise EngineError(f"contraction of degree {h} by x_{t} "
-                                          f"left a monomial that involves x_{t}")
-                    target.add(el)
-            out[h] = target
+            out[h] = target = Echelon()
+            target.extend(self._layer(slices[h], h, t, 0))
         return out
 
     def _leading_part(self, slices, t, degrees):
         """lt(J) with respect to x_t: top x_t-coefficients, at each degree hp
-        in degrees; it reads the slices at the degrees hp + m*beta_t only.
+        in degrees.  It spans the x_t^m layers of the slices at hp + m*beta_t
+        for m = 0, 1, ... (see `_layer`), and reads those slices only.
 
-        The slices are only read.  The layers m of degree hp stop once the
-        result spans every x_t-free monomial of degree hp; a full slice at
-        hp + m*beta_t gives all of them at once, as unit vectors."""
+        The slices are only read.  The layers of degree hp stop at the bound,
+        or once the result spans every x_t-free monomial of degree hp, as it
+        does after the layer of a full slice."""
         beta = self.cell.betas[t - 1]
         free_counts = self.free_counts(t)
         out = {}
         for hp in degrees:
-            n_free = free_counts[hp]
-            target = Echelon()
-            m = 0
-            while len(target) < n_free:
-                h = tuple(a + m * b for a, b in zip(hp, beta))
-                if sum(h) > self.bound:
-                    break
-                ech = slices.get(h)
-                if ech is not None and self._full(ech, h):
-                    target = self._free_units(hp, t)
-                    break
-                if ech is not None and len(ech):
-                    rows = ech.rows
-                    # combinations with x_t-degree <= m, then the x_t^m layer
-                    bad_cols = sorted({mm for r in rows for mm in r if mm[t - 1] > m})
-                    if not bad_cols:
-                        combos = [{i: ONE} for i in range(len(rows))]
-                    else:
-                        constraint_rows = [{i: rows[i][c] for i in range(len(rows))
-                                            if c in rows[i]} for c in bad_cols]
-                        combos = nullspace(constraint_rows, list(range(len(rows))))
-                    for el in self._combo_elements(rows, combos):
-                        lead = {mm[:t - 1] + (0,) + mm[t:]: c
-                                for mm, c in el.items() if mm[t - 1] == m}
-                        if lead:
-                            target.add(lead)
+            out[hp] = target = Echelon()
+            h, m = hp, 0
+            while len(target) < free_counts[hp] and sum(h) <= self.bound:
+                target.extend(self._layer(slices[h], h, t, m))
+                h = tuple(a + b for a, b in zip(h, beta))
                 m += 1
-            out[hp] = target
         return out
 
     # -- theorem drivers ----------------------------------------------------------
@@ -549,8 +520,7 @@ class IdealLab:
         w = self.cell.word.element
         out = {"type": self.datum.label, "word": list(self.cell.letters),
                "bound": self.bound, "cases": [], "ok": True}
-        for y in sorted(self.datum.lower_interval(w),
-                        key=lambda u: (u.length, u.render())):
+        for y in self.datum.ordered_interval(w):
             rep = self.verify_main2(y.reduced_word())
             out["cases"].append(rep)
             out["ok"] &= rep["ok"]
@@ -599,18 +569,14 @@ class IdealLab:
         mismatches = []
         compared = 0
         for h in sub_lab.degrees():
-            mine = transformed.get(h)
-            mine_rows = [self._strip_top(r) for r in (mine.rows if mine else [])]
-            theirs = other.echelon(h)
+            mine = transformed[h]
+            mine_rows = [self._strip_top(r) for r in mine.rows]
             # soundness: computed transforms always land inside the target ideal
-            for r in mine_rows:
-                if not (theirs.contains(r) if theirs else not r):
-                    mismatches.append({"degree": list(h), "kind": "not-contained"})
-                    break
+            if not all(other.contains(h, r) for r in mine_rows):
+                mismatches.append({"degree": list(h), "kind": "not-contained"})
             if sum(h) <= ht_cap:
                 compared += 1
-                dim_mine = len(mine) if mine else 0
-                dim_theirs = len(theirs) if theirs else 0
+                dim_mine, dim_theirs = len(mine), other.dim(h)
                 if dim_mine != dim_theirs:
                     mismatches.append({"degree": list(h), "kind": "dimension",
                                        "mine": dim_mine, "theirs": dim_theirs})
@@ -638,8 +604,7 @@ class IdealLab:
         out = {"type": self.datum.label, "word": list(self.cell.letters),
                "bound": self.bound, "cases": [], "ok": True}
         w = self.cell.word.element
-        ys = [y.reduced_word() for y in sorted(self.datum.lower_interval(w),
-                                               key=lambda u: (u.length, u.render()))]
+        ys = [y.reduced_word() for y in self.datum.ordered_interval(w)]
         targets = [self._main2_ind_plan(y)[-1] for y in ys]
         last_use = {target: i for i, target in enumerate(targets)}
         for i, y in enumerate(ys):
@@ -653,15 +618,13 @@ class IdealLab:
     def ideal_poset(self):
         """Slice-inclusion matrix over the interval, against Bruhat order."""
         w = self.cell.word.element
-        ys = sorted(self.datum.lower_interval(w), key=lambda u: (u.length, u.render()))
+        ys = self.datum.ordered_interval(w)
         labs = {y: self.slices(y.reduced_word()) for y in ys}
         report = {"nodes": [y.render() for y in ys], "ok": True, "pairs": []}
         for a in ys:
             for b in ys:
-                inc = all(
-                    all(labs[b].echelon(h).contains(row) if labs[b].echelon(h) else not row
-                        for row in (labs[a].echelon(h).rows if labs[a].echelon(h) else []))
-                    for h in self.degrees())
+                inc = all(labs[b].contains(h, row)
+                          for h, ech in labs[a].slices.items() for row in ech.rows)
                 bru = self.datum.bruhat_leq(a, b)
                 report["pairs"].append({"low": a.render(), "high": b.render(),
                                         "included": inc, "bruhat": bru})
@@ -697,12 +660,9 @@ class IdealLab:
                     seq = [b - a for a, b in zip(seq, seq[step:])]
                 tail = seq[len(seq) // 2:] if seq else []
                 if tail and all(x == 0 for x in tail):
-                    if d == 0:
-                        prev = list(c)
-                    else:
-                        prev = list(c)
-                        for _ in range(d):
-                            prev = [b - a for a, b in zip(prev, prev[step:])]
+                    prev = list(c)
+                    for _ in range(d):
+                        prev = [b - a for a, b in zip(prev, prev[step:])]
                     if any(x != 0 for x in prev[len(prev) // 2:]):
                         return d
         raise EngineError("no exact integer growth fit on the computed range")

@@ -254,17 +254,6 @@ class WeightModule:
     def dim(self):
         return len(self.wt_of)
 
-    def weight_dims(self):
-        return {nu: len(idx) for nu, idx in self.weights.items()}
-
-    def k_exponent(self, i, idx):
-        """K_i acts on basis vector idx by q^e with e = <wt, alpha_i>."""
-        e = self.datum.pairing(self.wt_of[idx], self._simple_roots[i - 1])
-        if e.denominator != 1:
-            raise EngineError(f"K_{i} eigenvalue exponent {e} at weight "
-                              f"{self.wt_of[idx]} is not an integer")
-        return int(e)
-
     def highest_vector(self):
         return {0: ONE}
 

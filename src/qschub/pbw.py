@@ -305,22 +305,6 @@ class Presentation:
                 t += 1
         return out
 
-    # -- words and raw expressions ---------------------------------------------
-
-    def normal_form_word(self, letters, coeff=ONE):
-        """Normal form of coeff * x_{letters[0]} ... x_{letters[-1]}."""
-        e = {tuple(0 for _ in range(self.l)): coeff}
-        for i in letters:
-            e = self.mul(e, self.gen(i))
-        return e
-
-    def normal_form(self, expression):
-        """expression: iterable of (Scalar, letter list) pairs, summed."""
-        out = {}
-        for coeff, letters in expression:
-            accumulate(out, self.normal_form_word(letters, coeff))
-        return out
-
     # -- localisation-facing views ----------------------------------------------
 
     def theta(self, e):

@@ -39,7 +39,7 @@ from .linalg import accumulate, mat_mul, mat_vec, solve_columns
 from .weyl import ReducedWord, root_datum
 from .pbw import Presentation, EngineError
 from .cauchon import DeletingDerivations
-from .modules import build_module, extremal_dual, root_coords
+from .modules import build_module, extremal_dual
 from .subwords import successor_table
 
 __all__ = ["SchubertCell", "NormalizationError"]
@@ -382,43 +382,6 @@ class SchubertCell:
         module = self.ops(tuple(lam_fw))["module"]
         xi = extremal_dual(module, tuple(y_letters))
         return self.phi_element(tuple(lam_fw), xi)
-
-    def minor_degree(self, j):
-        """(w - y) applied to the fundamental weight, as an integer vector:
-        the Q-degree of Delta_j in the deg F_{beta} = -beta convention."""
-        lam = root_coords(self.datum, self.fundamental_fw(j))
-        y = self.word.prefix(j - 1)
-        w = self.word.element
-        return _int_vec(tuple(a - b for a, b in
-                              zip(w.act_weight(lam), y.act_weight(lam))))
-
-    # -- structural checks ------------------------------------------------------------
-
-    def verify_leading_term(self, j):
-        """Delta_j minus its one-step factorisation lies in the subalgebra on
-        indices > j; returns the support report (empty difference support)."""
-        pres = self.presentation()
-        minor = self.quantum_minor(j)
-        coeff = self.q_alpha_diff(j)
-        if self.kappa[j - 1] is not None:
-            lead = pres.mul(self.quantum_minor(self.kappa[j - 1]), pres.gen(j))
-        else:
-            lead = pres.gen(j)
-        diff = pres.add(minor, lead, -coeff)
-        bad = [m for m in diff if any(m[t] for t in range(j))]
-        return {"j": j, "kappa": self.kappa[j - 1], "ok": not bad, "bad": bad}
-
-    def minor_commutation_exponent(self, j, k):
-        """Delta_j Delta_k = q^n Delta_k Delta_j; returns n or raises."""
-        pres = self.presentation()
-        p = pres.mul(self.quantum_minor(j), self.quantum_minor(k))
-        q = pres.mul(self.quantum_minor(k), self.quantum_minor(j))
-        mono = next(iter(p))
-        ratio = p[mono] / q[mono]
-        n = ratio.as_q_power()
-        if n is None or pres.add(p, q, -ratio):
-            raise EngineError(f"minors {j},{k} are not q-proportional")
-        return n
 
 
 class _RankDeficient(Exception):

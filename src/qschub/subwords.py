@@ -8,6 +8,7 @@ its index set is LP(y).  Enumeration walks positions from the right so that
 failed positivity checks prune whole subtrees.
 """
 
+from .pbw import EngineError
 from .weyl import ReducedWord
 
 __all__ = [
@@ -134,7 +135,7 @@ def enumerate_lp(word):
         if j == 0:
             y = suffix
             if y in found:
-                raise AssertionError(
+                raise EngineError(
                     f"two left positive subwords for {y.render()}: "
                     f"{sorted(found[y])} and {sorted(chosen)}")
             found[y] = frozenset(chosen)
@@ -146,7 +147,7 @@ def enumerate_lp(word):
     walk(l, datum.identity, frozenset())
     interval = datum.lower_interval(word.element)
     if set(found) != set(interval):
-        raise AssertionError("left positive products do not exhaust the interval")
+        raise EngineError("left positive products do not exhaust the interval")
     _LP_CACHE[key] = found
     return found
 
@@ -171,7 +172,7 @@ def combinatorial_poset(word):
     word = _as_word(word)
     datum = word.datum
     table = enumerate_lp(word)
-    elements = sorted(table, key=lambda w: (w.length, w.render()))
+    elements = datum.ordered_interval(word.element)
     nodes = [{"y": w.render(), "length": w.length, "lp": sorted(table[w])}
              for w in elements]
     edges = []
@@ -187,6 +188,6 @@ def lp_table_json(word):
     """The CLI `lp` schema: {"word": [...], "pairs": [{"y": ..., "lp": [...]}]}."""
     word = _as_word(word)
     table = enumerate_lp(word)
-    pairs = [{"y": y.render(), "lp": sorted(D)}
-             for y, D in sorted(table.items(), key=lambda t: (t[0].length, t[0].render()))]
+    pairs = [{"y": y.render(), "lp": sorted(table[y])}
+             for y in word.datum.ordered_interval(word.element)]
     return {"word": list(word.letters), "pairs": pairs}

@@ -192,6 +192,11 @@ class RootDatum:
             self._intervals[w] = cached
         return cached
 
+    def ordered_interval(self, w):
+        """The elements y <= w by length, then by rendered word: the order
+        of every report over the interval."""
+        return sorted(self.lower_interval(w), key=lambda u: (u.length, u.render()))
+
     def bruhat_leq(self, y, w):
         if y.datum is not w.datum:
             raise ValueError("elements of different root data")

@@ -7,7 +7,7 @@ from itertools import count
 import pytest
 
 from qschub.qscalar import ONE, qpow
-from qschub.linalg import Echelon, nullspace
+from qschub.linalg import Echelon, accumulate, nullspace
 from qschub.modules import build_module, demazure_echelon, DualFunctional
 from qschub.pbw import EngineError
 from qschub.schubert import schubert_cell
@@ -56,8 +56,7 @@ def test_zero_and_augmentation_ideals_a2(a2lab):
 
 
 def _interval(lab):
-    return sorted(lab.datum.lower_interval(lab.cell.word.element),
-                  key=lambda u: (u.length, u.render()))
+    return lab.datum.ordered_interval(lab.cell.word.element)
 
 
 def test_slices_are_ideal_closed(a2lab):
@@ -209,6 +208,18 @@ class NoShortcutLab(IdealLab):
             else:
                 slices = self._leading_part(slices, t)
         return frozenset(diagram)
+
+    @staticmethod
+    def _combo_elements(rows, coeffs_list):
+        """The nonzero combinations sum_i coeffs[i] * rows[i]."""
+        out = []
+        for coeffs in coeffs_list:
+            el = {}
+            for i, c in coeffs.items():
+                accumulate(el, rows[i], c)
+            if el:
+                out.append(el)
+        return out
 
     def _contract(self, slices, t):
         """{v in J_h : v free of x_t}, an exact slice-level contraction."""
@@ -390,8 +401,7 @@ def test_membership_criterion_top_root_vector(a2lab):
     # F_{beta_l} lies in the ideal exactly when l is in the LP index set
     pres = a2lab.pres
     word = a2lab.cell.word
-    for y in sorted(a2lab.datum.lower_interval(word.element),
-                    key=lambda u: (u.length, u.render())):
+    for y in a2lab.datum.ordered_interval(word.element):
         sl = a2lab.slices(y.reduced_word())
         lp = lp_index_set(word, y)
         in_ideal = a2lab.membership(pres.gen(3), sl)

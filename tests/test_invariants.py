@@ -98,8 +98,7 @@ def test_extremal_membership_matches_lp():
     module = build_module(datum, lam)
     ws_word = cell.letters[:-1]
     v = module.tminus_winv_vector(ws_word)
-    for y in sorted(datum.lower_interval(cell.word.element),
-                    key=lambda u: (u.length, u.render())):
+    for y in datum.ordered_interval(cell.word.element):
         lp = lp_index_set(cell.word, y)
         dem = demazure_echelon(module, y.reduced_word())
         assert dem.contains(v) == (3 not in lp), y.render()
@@ -132,8 +131,7 @@ def test_phi_leading_term_across_one_step():
         n_top = int(datum.pair_coroot(lam_rc, a_l))
         scalar = ((qpow(-d) - qpow(d)) ** n_top) * qpow(-d * (n_top * (n_top - 1) // 2))
         module = build_module(datum, lam)
-        for y in sorted(datum.lower_interval(cell.word.element),
-                        key=lambda u: (u.length, u.render())):
+        for y in datum.ordered_interval(cell.word.element):
             xi = extremal_dual(module, y.reduced_word())
             big = cell.phi_element(lam, xi)
             small = sub.phi_element(lam, xi)
@@ -158,7 +156,7 @@ def test_b_element_product_law():
         w = cell.word.element
         rank = datum.rank
         fws = [tuple(int(t == a) for t in range(rank)) for a in range(rank)]
-        for y in sorted(datum.lower_interval(w), key=lambda u: (u.length, u.render())):
+        for y in datum.ordered_interval(w):
             y_letters = y.reduced_word()
             for lam1 in fws:
                 for lam2 in fws:

@@ -17,6 +17,14 @@ def vec_eq(u, v):
            {k: c for k, c in v.items() if not c.is_zero()}
 
 
+def k_exponent(m, i, idx):
+    """K_i acts on basis vector idx of m by q^e with e = <wt, alpha_i>."""
+    alpha_i = tuple(Fraction(int(t == i - 1)) for t in range(m.datum.rank))
+    e = m.datum.pairing(m.wt_of[idx], alpha_i)
+    assert e.denominator == 1, (i, m.wt_of[idx], e)
+    return int(e)
+
+
 # -- Freudenthal oracle on classical dimensions --------------------------------
 
 @pytest.mark.parametrize("label,lam,dim", [
@@ -73,7 +81,7 @@ def test_dimensions_match_freudenthal(label, lam):
     datum = root_datum(label)
     m = build_module(datum, lam)
     mult = weight_multiplicities(datum, lam)
-    assert m.weight_dims() == {nu: k for nu, k in mult.items()}
+    assert {nu: len(idx) for nu, idx in m.weights.items()} == mult
 
 
 @pytest.mark.parametrize("label,lam", [
@@ -90,7 +98,7 @@ def test_defining_relations(label, lam):
                 lhs = mat_vec(m.E[i], mat_vec(m.F[j], v))
                 rhs = mat_vec(m.F[j], mat_vec(m.E[i], v))
                 if i == j:
-                    e = m.k_exponent(i, col)
+                    e = k_exponent(m, i, col)
                     d = datum.d[i - 1]
                     assert e % d == 0
                     scal = q_bracket(e // d, d)
@@ -105,8 +113,8 @@ def test_defining_relations(label, lam):
     for i in range(1, r + 1):
         for j in range(1, r + 1):
             for (row, col), c in m.E[j].items():
-                e1 = m.k_exponent(i, row)
-                e0 = m.k_exponent(i, col)
+                e1 = k_exponent(m, i, row)
+                e0 = k_exponent(m, i, col)
                 alpha_i = tuple(Fraction(int(t == i - 1)) for t in range(r))
                 alpha_j = tuple(Fraction(int(t == j - 1)) for t in range(r))
                 assert e1 - e0 == datum.pairing(alpha_i, alpha_j)

@@ -140,17 +140,11 @@ _NO_CALLER_IN_PACKAGE = {
     "modules.py:weight_multiplicities": "Freudenthal oracle, independent of the modules "
                                         "it checks",
     "modules.py:built_modules": "lets tests and perfbench see every module built",
-    "modules.py:weight_dims": "module shape, compared with the Freudenthal oracle",
-    "modules.py:k_exponent": "the K_i action, checked against the weights by tests",
-    "pbw.py:normal_form": "normal form of a sum of words, a test entry point",
     "pbw.py:element_from_json": "inverse of element_to_json, for round-trip tests",
     "pbw.py:from_table_text": "inverse of table_text, for round-trip tests",
     "qscalar.py:q_integer": "q-combinatorics, tested against closed forms",
     "qscalar.py:specialize": "evaluation at a rational q, the property tests' oracle",
     "schubert.py:element_operator": "engine products against the module action, in tests",
-    "schubert.py:minor_degree": "the degree of Delta_j, checked by tests",
-    "schubert.py:verify_leading_term": "the one-step factorisation of Delta_j, in tests",
-    "schubert.py:minor_commutation_exponent": "q-commutation of minors, in tests",
     "subwords.py:is_left_positive": "the definition that enumerate_lp is tested against",
     "subwords.py:is_right_positive": "the mirror definition, tested with the left one",
 }
@@ -172,3 +166,32 @@ def test_package_has_no_callerless_functions():
                 defined.append((f"{path.name}:{node.name}", node.name))
     callerless = {key for key, name in defined if name not in used}
     assert callerless == set(_NO_CALLER_IN_PACKAGE)
+
+
+def test_lp_exhaustion_check_raises_a_typed_error(monkeypatch):
+    # an interval that the left positive products miss must fail the
+    # exhaustion certificate with EngineError, which a campaign records as
+    # one failed case; an AssertionError would end the whole campaign
+    from qschub import subwords
+    from qschub.weyl import ReducedWord, root_datum
+    datum = root_datum("A2")
+    word = ReducedWord(datum, (1, 2))
+    bigger = datum.lower_interval(datum.longest_element())
+    monkeypatch.setattr(subwords, "_LP_CACHE", {})
+    monkeypatch.setattr(datum, "lower_interval", lambda w: bigger)
+    with pytest.raises(EngineError, match="do not exhaust the interval"):
+        subwords.enumerate_lp(word)
+
+
+def test_layer_certificate_catches_combinations_that_keep_x_t(monkeypatch):
+    # once the slices are built, a nullspace that returns every row as its
+    # own combination leaves monomials in x_t: the contraction and the
+    # leading part must both refuse them
+    from qschub import ideals
+    lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 6)
+    sl = lab.slices((1,))
+    monkeypatch.setattr(ideals, "nullspace",
+                        lambda rows, columns: [{i: ONE} for i in columns])
+    for transform in (lab._contract, lab._leading_part):
+        with pytest.raises(EngineError, match="left a monomial"):
+            transform(sl.slices, 3, lab.degrees())

@@ -85,13 +85,52 @@ def test_b2_and_g2_presentations_are_cgl():
                 assert all(mono[t] == 0 for t in range(k - 1, pres.l))
 
 
+def minor_degree(cell, j):
+    """(w - y) applied to the fundamental weight, as an integer vector: the
+    Q-degree of Delta_j in the deg F_{beta} = -beta convention."""
+    lam = root_coords(cell.datum, cell.fundamental_fw(j))
+    y = cell.word.prefix(j - 1)
+    w = cell.word.element
+    diff = tuple(a - b for a, b in zip(w.act_weight(lam), y.act_weight(lam)))
+    assert all(x.denominator == 1 for x in diff), diff
+    return tuple(int(x) for x in diff)
+
+
+def verify_leading_term(cell, j):
+    """Delta_j minus its one-step factorisation lies in the subalgebra on
+    indices > j; returns the support report (empty difference support)."""
+    pres = cell.presentation()
+    minor = cell.quantum_minor(j)
+    coeff = cell.q_alpha_diff(j)
+    if cell.kappa[j - 1] is not None:
+        lead = pres.mul(cell.quantum_minor(cell.kappa[j - 1]), pres.gen(j))
+    else:
+        lead = pres.gen(j)
+    diff = pres.add(minor, lead, -coeff)
+    bad = [m for m in diff if any(m[t] for t in range(j))]
+    return {"j": j, "kappa": cell.kappa[j - 1], "ok": not bad, "bad": bad}
+
+
+def minor_commutation_exponent(cell, j, k):
+    """Delta_j Delta_k = q^n Delta_k Delta_j; returns n or raises."""
+    pres = cell.presentation()
+    p = pres.mul(cell.quantum_minor(j), cell.quantum_minor(k))
+    q = pres.mul(cell.quantum_minor(k), cell.quantum_minor(j))
+    mono = next(iter(p))
+    ratio = p[mono] / q[mono]
+    n = ratio.as_q_power()
+    if n is None or pres.add(p, q, -ratio):
+        raise EngineError(f"minors {j},{k} are not q-proportional")
+    return n
+
+
 def test_minor_degrees_and_homogeneity():
     for label, letters in [("A2", (1, 2, 1)), ("A2", (2, 1, 2)), ("B2", (1, 2, 1, 2))]:
         cell = schubert_cell(label, letters)
         pres = cell.presentation()
         for j in range(1, len(letters) + 1):
             minor = cell.quantum_minor(j)
-            assert pres.degree(minor) == cell.minor_degree(j)
+            assert pres.degree(minor) == minor_degree(cell, j)
 
 
 def test_anchor_identity_top_minor():
@@ -107,7 +146,7 @@ def test_leading_term_factorisation():
     for label, letters in [("A2", (1, 2, 1)), ("A2", (2, 1, 2)), ("B2", (1, 2, 1, 2))]:
         cell = schubert_cell(label, letters)
         for j in range(1, len(letters) + 1):
-            report = cell.verify_leading_term(j)
+            report = verify_leading_term(cell, j)
             assert report["ok"], report
 
 
@@ -153,7 +192,7 @@ def test_minor_q_commutation():
     seen = {}
     for j in range(1, 4):
         for k in range(j + 1, 4):
-            seen[(j, k)] = cell.minor_commutation_exponent(j, k)
+            seen[(j, k)] = minor_commutation_exponent(cell, j, k)
     assert set(seen) == {(1, 2), (1, 3), (2, 3)}
 
 

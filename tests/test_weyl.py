@@ -93,8 +93,7 @@ def test_bruhat_examples_a2():
 def test_bruhat_matches_brute_force_and_word_choice():
     for label in ("A2", "B2", "A3", "G2"):
         datum = root_datum(label)
-        elements = sorted(datum.lower_interval(datum.longest_element()),
-                          key=lambda w: (w.length, w.render()))
+        elements = datum.ordered_interval(datum.longest_element())
         elements = [w for w in elements if w.length <= 4][:14]
         for y in elements:
             for w in elements:
@@ -127,6 +126,16 @@ def test_interval_independent_of_word_exhaustive():
                 else:
                     assert current == ref, (label, w.render(), word)
             assert ref == set(datum.lower_interval(w))
+
+
+def test_ordered_interval_is_the_interval_by_length_then_word():
+    for label in ("A2", "B2", "A3"):
+        datum = root_datum(label)
+        w0 = datum.longest_element()
+        got = datum.ordered_interval(w0)
+        assert set(got) == datum.lower_interval(w0) and len(got) == len(set(got))
+        keys = [(u.length, u.render()) for u in got]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_lower_interval_examples():
