@@ -57,7 +57,6 @@ compares.
 """
 
 import heapq
-from fractions import Fraction
 
 from .qscalar import ONE, qpow
 from .linalg import Echelon, accumulate, nullspace
@@ -148,7 +147,7 @@ class IdealLab:
         self._degrees = None
         self._phi_cache = {}
         self._shorter = None
-        self._weight_table = {}     # lam -> [(h, mu, idxs, set(idxs))]
+        self._weight_table = {}     # lam -> [(h, k, idxs, set(idxs))]
         self._row_products = {}     # (row items, m) -> generator products
         self._unit_single = {}      # (mono, m) -> whether x_m mono ~ mono x_m
         self._successors = None     # h -> [(m, h + beta_m, monomial count)]
@@ -245,22 +244,21 @@ class IdealLab:
         return hit
 
     def _weight_degrees(self, lam_fw, module):
-        """[(h, mu, idxs, set(idxs))] for the degrees h = mu - w(lam), mu a
-        weight of V(lam) with basis indices idxs, in `degrees()` order; built
-        once per weight."""
+        """[(h, k, idxs, set(idxs))] for the degrees h = mu - w(lam), mu =
+        lam - k a weight of V(lam) of depth k with basis indices idxs, in
+        `degrees()` order; built once per weight."""
         key = tuple(lam_fw)
         hit = self._weight_table.get(key)
         if hit is None:
-            wl = self.cell.word.element.act_weight(module.lam)
-            # mu - w(lam) lies in the root lattice, so its coordinates are integers
-            weight_at = {tuple(int(a - b) for a, b in zip(mu, wl)): mu
-                         for mu in module.weights}
+            drop = self.cell.weight_drop(key)
+            # mu - w(lam) = (lam - w(lam)) - k
+            depth_at = {tuple(a - b for a, b in zip(drop, k)): k for k in module.weights}
             hit = []
             for h in self.degrees():
-                mu = weight_at.get(h)
-                if mu is not None:
-                    idxs = module.weights[mu]
-                    hit.append((h, mu, idxs, set(idxs)))
+                k = depth_at.get(h)
+                if k is not None:
+                    idxs = module.weights[k]
+                    hit.append((h, k, idxs, set(idxs)))
             self._weight_table[key] = hit
         return hit
 
@@ -276,15 +274,15 @@ class IdealLab:
         dem = demazure_echelon(module, y_letters)
         dem_by_weight = {}
         for row in dem.rows:
-            nu = module.wt_of[next(iter(row))]
-            dem_by_weight.setdefault(nu, []).append(row)
+            k = module.wt_of[next(iter(row))]
+            dem_by_weight.setdefault(k, []).append(row)
         fresh = []
-        for h, mu, idxs, idx_set in self._weight_degrees(lam_fw, module):
+        for h, k, idxs, idx_set in self._weight_degrees(lam_fw, module):
             ech = slices[h]
             if self._full(ech, h):
                 continue
             rows = [{i: r[i] for i in r if i in idx_set}
-                    for r in dem_by_weight.get(mu, ())]
+                    for r in dem_by_weight.get(k, ())]
             orth = nullspace(rows, idxs)
             if not orth:
                 continue
@@ -683,7 +681,7 @@ class IdealLab:
         checks = []
         for m in range(1, self.l + 1):
             exp = datum.pairing(wy_lam, cell.betas[m - 1])
-            if Fraction(exp).denominator != 1:
+            if exp.denominator != 1:
                 raise EngineError(f"<w lam + y lam, beta_{m}> = {exp} is not an integer "
                                   f"for y = {y.render()}")
             lhs = pres.mul(b, pres.gen(m))

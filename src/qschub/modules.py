@@ -8,7 +8,14 @@ are independent, so the Gram matrix of every weight space is invertible and
 the result is the irreducible module.  The highest weight vector is basis
 vector 0.
 
-Weights are stored in simple-root coordinates as Fraction tuples.  Operators
+A weight space is keyed by its depth k = lambda - mu, the integer vector of
+simple-root coordinates of lambda - mu; its weight mu is never stored, since
+in root coordinates it is fractional whenever lambda is.  The highest weight
+space has depth 0, and F_i moves from depth k to depth k + alpha_i.  The
+pairing <mu, alpha_i^vee> that the form and the braid operators read is the
+integer lambda_i - sum_j cartan[i][j] k_j, lambda_i the fundamental-weight
+coefficient of lambda.  Each level's candidate depths are processed in
+descending order, which is the ascending order of their weights.  Operators
 are sparse matrices {(row, col): Scalar}; vectors are {index: Scalar}.
 
 weight_multiplicities implements Freudenthal's recursion independently of the
@@ -17,13 +24,18 @@ module construction and serves as the dimension oracle.
 
 from fractions import Fraction
 
-from .qscalar import ZERO, ONE, qpow, from_fraction, q_bracket, q_factorial
+from .qscalar import ZERO, ONE, qpow, q_bracket, q_factorial
 from .linalg import accumulate, mat_vec, invert_matrix, solve_columns, Echelon
 from .pbw import EngineError
 
-__all__ = ["WeightModule", "build_module", "weight_multiplicities", "DualFunctional"]
+__all__ = ["WeightModule", "build_module", "weight_multiplicities", "DualFunctional",
+           "DimensionCapError"]
 
 DIMENSION_CAP = 400
+
+
+class DimensionCapError(EngineError):
+    """A module has more basis vectors than DIMENSION_CAP allows."""
 
 
 def _vadd(u, v):
@@ -98,46 +110,49 @@ class WeightModule:
     def __init__(self, datum, lam_fw):
         self.datum = datum
         self.highest = tuple(int(c) for c in lam_fw)
-        self.lam = root_coords(datum, self.highest)
-        self.weights = {}          # weight -> list of global indices
-        self.wt_of = []            # global index -> weight
+        self.weights = {}          # depth -> list of global indices
+        self.wt_of = []            # global index -> depth
         self.F = {i: {} for i in range(1, datum.rank + 1)}
         self.E = {i: {} for i in range(1, datum.rank + 1)}
-        self.gram = {}             # weight -> {(r_loc, c_loc): Scalar}
+        self.gram = {}             # depth -> {(r_loc, c_loc): Scalar}
         self._braid = {}
         self._braid_inv = {}
         r = datum.rank
         # the simple roots in root coordinates, read in every weight's loops
-        self._simple_roots = [tuple(Fraction(int(k == i)) for k in range(r))
-                              for i in range(r)]
+        self._simple_roots = [tuple(int(k == i) for k in range(r)) for i in range(r)]
         self._build()
 
     # -- construction -----------------------------------------------------
 
     def _build(self):
-        datum = self.datum
-        r = datum.rank
-        self.weights[self.lam] = [0]
-        self.wt_of.append(self.lam)
-        self.gram[self.lam] = {(0, 0): ONE}
-        level = [self.lam]
+        top = (0,) * self.datum.rank
+        self.weights[top] = [0]
+        self.wt_of.append(top)
+        self.gram[top] = {(0, 0): ONE}
+        level = [top]
         while level:
-            candidates = sorted({_vsub(nu, alpha)
+            candidates = sorted({_vadd(nu, alpha)
                                  for nu in level
-                                 for alpha in self._simple_roots})
+                                 for alpha in self._simple_roots}, reverse=True)
             next_level = []
             for nu in candidates:
                 if self._process_weight(nu):
                     next_level.append(nu)
             if len(self.wt_of) > DIMENSION_CAP:
-                raise ValueError(f"module dimension exceeds cap {DIMENSION_CAP}")
+                raise DimensionCapError(
+                    f"V{self.highest} of {self.datum.label} has more than "
+                    f"DIMENSION_CAP = {DIMENSION_CAP} basis vectors")
             level = next_level
+
+    def _coroot(self, k, i):
+        """<mu, alpha_i^vee> for the weight mu = lambda - k of depth k."""
+        return self.highest[i - 1] - sum(c * x for c, x in zip(self.datum.cartan[i - 1], k))
 
     def _process_weight(self, nu):
         datum = self.datum
-        spanning = []          # (i, parent local index, parent weight)
+        spanning = []          # (i, parent local index, parent depth)
         for i in range(1, datum.rank + 1):
-            up = _vadd(nu, self._simple_roots[i - 1])
+            up = _vsub(nu, self._simple_roots[i - 1])
             for loc, _ in enumerate(self.weights.get(up, ())):
                 spanning.append((i, loc, up))
         if not spanning:
@@ -185,11 +200,7 @@ class WeightModule:
                 eb = self._column(self.E[i], ib)
                 val = val + self._pair_vectors(ea, eb)
                 if i == j:
-                    n = datum.pair_coroot(upb, i)
-                    if n.denominator != 1:
-                        raise EngineError(f"<{upb}, alpha_{i}^vee> = {n} is not an integer "
-                                          "in the Shapovalov form")
-                    bracket = q_bracket(int(n), datum.d[i - 1])
+                    bracket = q_bracket(self._coroot(upb, i), datum.d[i - 1])
                     val = val + bracket * self._pair_global(ia, ib)
                 G[(sa, sb)] = val
         return G
@@ -231,7 +242,8 @@ class WeightModule:
             if sol is None or not unique:
                 raise EngineError(
                     f"Gram row {s} of the weight space ({', '.join(map(str, nu))}) "
-                    f"of V{self.highest} has no unique expression in the chosen basis")
+                    f"of V{self.highest} has no unique expression in the chosen basis "
+                    "(weight spaces are named by their depth lambda - mu)")
             coords.append(dict(enumerate(sol)))
         return kept, coords
 
@@ -244,8 +256,7 @@ class WeightModule:
         for mid, c in eb.items():
             accumulate(out, self._column(self.F[i], mid), c)
         if a == i:
-            n = datum.pair_coroot(up, a)
-            accumulate(out, {col: q_bracket(int(n), datum.d[a - 1])})
+            accumulate(out, {col: q_bracket(self._coroot(up, a), datum.d[a - 1])})
         return out
 
     # -- basic structure ----------------------------------------------------
@@ -274,12 +285,7 @@ class WeightModule:
         d = datum.d[i - 1]
         mat = {}
         for col in range(self.dim):
-            mu = self.wt_of[col]
-            c0 = datum.pair_coroot(mu, i)
-            if c0.denominator != 1:
-                raise EngineError(f"braid operator T_{i}: <{mu}, alpha_{i}^vee> = {c0} "
-                                  "is not an integer")
-            c0 = int(c0)
+            c0 = self._coroot(self.wt_of[col], i)
             vec = {col: ONE}
             out = {}
             # chain of E-powers applied first
@@ -303,7 +309,7 @@ class WeightModule:
                         for _ in range(l):
                             w = mat_vec(self.E[i], w)
                         if w:
-                            sign = from_fraction(-1) ** m
+                            sign = -ONE if m % 2 else ONE
                             coeff = (sign * qpow(d * (m - l * n))
                                      / (q_factorial(l, d) * q_factorial(m, d)
                                         * q_factorial(n, d)))
@@ -344,6 +350,7 @@ class DualFunctional:
         return out
 
     def weight_support(self):
+        """The depths lambda - mu of the weights mu the row is supported on."""
         return {self.module.wt_of[i] for i in self.row}
 
 

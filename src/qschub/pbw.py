@@ -19,16 +19,12 @@ pivot, may carry negative exponents; localisation at the pivot uses
 the second sum being finite because delta_p is locally nilpotent.
 """
 
-from .qscalar import ONE, render_scalar, parse_scalar
+from .qscalar import ONE, render_scalar, parse_scalar, EngineError
 from .linalg import accumulate, vec_add, vec_scale
 
 __all__ = ["Presentation", "EngineError", "NotExpressibleError"]
 
 NILPOTENCY_CAP = 64
-
-
-class EngineError(RuntimeError):
-    pass
 
 
 class NotExpressibleError(EngineError):

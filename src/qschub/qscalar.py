@@ -45,15 +45,26 @@ and hashing do not depend on which of the two a value took on the way.  Every
 coefficient division goes through _div, which divides ints with // when the
 division is exact and through Fraction otherwise, so int / int (a float)
 never runs.
+
+The gcd that makes a form canonical runs over Z[q] and never creates a
+Fraction.  _canon clears the coefficient denominators of the numerator and
+the denominator once, takes their gcd in Z[q] by the primitive remainder
+sequence (Knuth, TAOCP vol. 2, 4.6.1: every pseudo-remainder is reduced to
+its primitive part, so the coefficients stay small and integral), and
+divides both by it with exact integer trial division.  That division is the
+gcd's certificate: a nonzero remainder raises EngineError instead of
+returning a form that is not canonical.  Only the last step, making the
+denominator monic, may give Fraction coefficients.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "Scalar", "ZERO", "ONE", "qpow", "from_fraction",
     "q_bracket", "q_integer", "q_factorial",
     "cauchon_integer", "cauchon_factorial",
-    "parse_scalar",
+    "parse_scalar", "EngineError",
 ]
 
 _DEN_ONE = ((0, 1),)
@@ -65,6 +76,11 @@ _SHARED = {}    # (num, den) -> the shared Scalar with that canonical form
 _MUL = {}       # (a, b) -> a * b
 _ADD = {}       # (a, b) -> a + b
 _INV = {}       # a -> a.inverse()
+
+
+class EngineError(RuntimeError):
+    """An exact computation failed: a certificate did not hold, a cap was
+    hit, or the data have no answer of the required form."""
 
 
 def _remember(table, key, value):
@@ -154,41 +170,80 @@ def _to_dense(a):
     return out
 
 
-def _from_dense(v):
-    return {e: c for e, c in enumerate(v) if c}
+def _integral(v):
+    """(w, m): the dense list v times m, the lcm of its coefficient
+    denominators, so that w holds ints only."""
+    m = 1
+    for c in v:
+        if c.__class__ is not int:
+            m = lcm(m, c.denominator)
+    if m == 1:
+        return v, 1
+    return [c * m if c.__class__ is int else c.numerator * (m // c.denominator)
+            for c in v], m
 
 
-def _dense_divmod(a, b):
-    # a, b dense lists, b nonzero; returns (quot, rem)
-    a = list(a)
+def _pseudo_remainder(a, b):
+    # a constant times the remainder of a by b over Q, deg a >= deg b >= 1:
+    # each step cancels the top term of r by the smallest integer multiples
+    r = list(a)
     db, lb = len(b) - 1, b[-1]
-    if len(a) - 1 < db:
-        return [], a
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = _div(c, lb)
-            quot[i - db] = f
-            for k in range(db + 1):
-                a[i - db + k] -= f * b[k]
-    while a and not a[-1]:
-        a.pop()
-    return quot, a
+    while len(r) > db:
+        lr = r[-1]
+        g = gcd(lr, lb)
+        mr, mb = lb // g, lr // g
+        if mr != 1:
+            r = [mr * x for x in r]
+        s = len(r) - 1 - db
+        for k in range(db):
+            r[s + k] -= mb * b[k]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
-def _dense_gcd(a, b):
-    # monic gcd of dense polynomials over Q
-    while b:
-        _, a = _dense_divmod(a, b)
+def _zgcd(a, b):
+    """The gcd in Z[q] of two nonzero dense integer polynomials, with
+    positive leading coefficient: the gcd of the contents times the last
+    nonzero term of the primitive remainder sequence (Knuth, TAOCP vol. 2,
+    4.6.1), which keeps the primitive part of every pseudo-remainder."""
+    ca, cb = gcd(*a), gcd(*b)
+    a = [x // ca for x in a] if ca != 1 else a
+    b = [x // cb for x in b] if cb != 1 else b
+    c = gcd(ca, cb)
+    if len(a) < len(b):
         a, b = b, a
-        while b and not b[-1]:
-            b.pop()
-    if a:
-        lc = a[-1]
-        if lc != 1:
-            a = [_div(c, lc) for c in a]
-    return a
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            if b[-1] < 0:
+                c = -c
+            return [c * x for x in b] if c != 1 else b
+        cr = gcd(*r)
+        a, b = b, [x // cr for x in r] if cr != 1 else r
+    # a constant primitive part is a unit
+    return [c]
+
+
+def _exact_quotient(a, g, which):
+    """a / g for dense integer polynomials, by trial division over Z; the
+    certificate that the gcd g divides a."""
+    dg, lg = len(g) - 1, g[-1]
+    a = list(a)
+    quot = [0] * max(len(a) - dg, 0)
+    for i in range(len(a) - 1, dg - 1, -1):
+        if a[i]:
+            f, rem = divmod(a[i], lg)
+            if rem:
+                break
+            quot[i - dg] = f
+            for k in range(dg):
+                a[i - dg + k] -= f * g[k]
+    else:
+        if not any(a[:dg]):
+            return quot
+    raise EngineError(f"Z[q] gcd certificate: {g} does not divide the {which}")
 
 
 def _canon(num, den):
@@ -211,14 +266,18 @@ def _canon(num, den):
             p = {e: _div(v, c) for e, v in p.items()}
         den = {0: 1}
     else:
-        g = _dense_gcd(_to_dense(p), _to_dense(den))
-        if len(g) > 1:
-            p = _from_dense(_dense_divmod(_to_dense(p), g)[0])
-            den = _from_dense(_dense_divmod(_to_dense(den), g)[0])
-        lc = den[max(den)]
-        if lc != 1:
-            den = {e: _div(c, lc) for e, c in den.items()}
-            p = {e: _div(c, lc) for e, c in p.items()}
+        # p/den = (pz/mp) / (dz/md) with pz, dz over Z; cancel their gcd in
+        # Z[q] and make the denominator monic
+        pz, mp = _integral(_to_dense(p))
+        dz, md = _integral(_to_dense(den))
+        g = _zgcd(pz, dz)
+        if g != [1]:
+            pz = _exact_quotient(pz, g, "numerator")
+            dz = _exact_quotient(dz, g, "denominator")
+        lc = dz[-1]
+        scale = mp * lc
+        den = {e: _div(c, lc) for e, c in enumerate(dz) if c}
+        p = {e: _div(c * md, scale) for e, c in enumerate(pz) if c}
     num = _pshift(p, sn) if sn else p
     return tuple(sorted(num.items())), tuple(sorted(den.items()))
 

@@ -32,8 +32,6 @@ operators.  The overall normalisation is pinned by the anchor identity
 Delta_l = (q_{a_l}^{-1} - q_{a_l}) x_l, which is asserted, not rescaled.
 """
 
-from fractions import Fraction
-
 from .qscalar import ONE, qpow, q_factorial
 from .linalg import accumulate, mat_mul, mat_vec, solve_columns
 from .weyl import ReducedWord, root_datum
@@ -52,12 +50,6 @@ class NormalizationError(EngineError):
     """The pairing normalisation disagrees with the anchor identities."""
 
 
-def _int_vec(v):
-    if any(Fraction(x).denominator != 1 for x in v):
-        raise EngineError(f"weight {tuple(v)} is not integral")
-    return tuple(int(x) for x in v)
-
-
 class SchubertCell:
     """All data attached to one (root datum, reduced word) pair."""
 
@@ -74,6 +66,7 @@ class SchubertCell:
         self._presentation = None
         self._minors = {}
         self._chain = None
+        self._drops = {}
 
     def prefix_cell(self):
         """The cached cell of the word without its last letter; the empty
@@ -102,6 +95,19 @@ class SchubertCell:
 
     def degs(self):
         return [tuple(-x for x in b) for b in self.betas]
+
+    def weight_drop(self, lam_fw):
+        """lambda - w(lambda) in simple-root coordinates: the integer vector
+        sum_j lambda_{a_j} beta_j over the letters a_j of the word, where
+        lambda_a are the fundamental-weight coefficients lam_fw.  Cached per
+        lambda."""
+        key = tuple(lam_fw)
+        hit = self._drops.get(key)
+        if hit is None:
+            hit = tuple(sum(key[a - 1] * b[t] for a, b in zip(self.letters, self.betas))
+                        for t in range(self.datum.rank))
+            self._drops[key] = hit
+        return hit
 
     # -- module operator packs -------------------------------------------------
 
@@ -341,13 +347,12 @@ class SchubertCell:
         if len(support) != 1:
             raise EngineError(f"dual functional has weights {sorted(support)}; "
                               "it must be weight homogeneous")
-        mu = support.pop()
-        module = self.ops(lam_fw)["module"]
-        wl = self.word.element.act_weight(module.lam)
-        h = tuple(m - w for m, w in zip(mu, wl))
-        if any(Fraction(x).denominator != 1 or x < 0 for x in h):
+        # the weight mu = lambda - k has degree mu - w(lambda)
+        k = support.pop()
+        h = tuple(a - b for a, b in zip(self.weight_drop(lam_fw), k))
+        if any(x < 0 for x in h):
             return {}
-        return self.phi_from_dual(xi, self.phi_vectors(lam_fw, _int_vec(h)))
+        return self.phi_from_dual(xi, self.phi_vectors(lam_fw, h))
 
     # -- minors and b-elements ---------------------------------------------------------
 

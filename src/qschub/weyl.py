@@ -1,8 +1,12 @@
 """Root systems, Weyl groups, Bruhat order, and reduced-word combinatorics.
 
-Conventions.  Simple roots are indexed 1..rank.  Roots and weights are stored
-in simple-root coordinates (roots as int tuples, weights as Fraction tuples).
-The invariant form is normalised so that short roots have squared length 2;
+Conventions.  Simple roots are indexed 1..rank.  Roots and weights are both
+in simple-root coordinates.  Roots are int tuples.  A weight's coordinates
+are fractions in general (the fundamental weights and rho are Fraction
+tuples), so the modules key their weight spaces by the integer depth
+lambda - mu instead (see modules.py).  A Weyl element's integer matrix acts
+on roots and weights alike, and keeps ints ints.  The invariant form is
+normalised so that short roots have squared length 2;
 bil[i][j] = <alpha_i, alpha_j> = d_i * cartan[i][j].  A Weyl group element is
 the integer matrix of its action on the root lattice, which makes equality
 and hashing cheap; elements are interned per datum.
@@ -116,11 +120,6 @@ class RootDatum:
         return sum(ui * self.bil[i][j] * vj
                    for i, ui in enumerate(u) if ui
                    for j, vj in enumerate(v) if vj)
-
-    def pair_coroot(self, mu, i):
-        """<mu, alpha_i^vee> = 2<mu, alpha_i>/<alpha_i, alpha_i>."""
-        val = sum(Fraction(self.cartan[i - 1][j]) * mu[j] for j in range(self.rank))
-        return val
 
     def height(self, v):
         return sum(v)
@@ -264,9 +263,7 @@ class WeylElement:
         return _apply(self.mat, v)
 
     def act_weight(self, v):
-        n = self.datum.rank
-        return tuple(sum(Fraction(self.mat[i][k]) * v[k] for k in range(n))
-                     for i in range(n))
+        return _apply(self.mat, v)
 
     def sends_negative(self, i):
         """True iff w(alpha_i) < 0, i.e. ell(w s_i) < ell(w)."""

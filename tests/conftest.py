@@ -1,11 +1,15 @@
 import ast
 import inspect
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qschub import qscalar
 from qschub.ideals import IdealLab
 from qschub.linalg import mat_mul
+from qschub.modules import root_coords
 from qschub.qscalar import ONE
 
 
@@ -21,6 +25,30 @@ def built_labs(monkeypatch):
 
     monkeypatch.setattr(IdealLab, "__init__", counted)
     return built
+
+
+def _weight_of(module, k):
+    """The weight lambda - k, in simple-root coordinates (Fractions), of the
+    weight space of module keyed by the depth k."""
+    lam = root_coords(module.datum, module.highest)
+    return tuple(a - b for a, b in zip(lam, k))
+
+
+@pytest.fixture
+def weight_of():
+    """Maps a module's depth key k to its weight lambda - k."""
+    return _weight_of
+
+
+def _pair_coroot(datum, mu, i):
+    """<mu, alpha_i^vee> = sum_j cartan[i][j] mu_j for mu in root coordinates."""
+    return sum(datum.cartan[i - 1][j] * mu[j] for j in range(datum.rank))
+
+
+@pytest.fixture
+def pair_coroot():
+    """The coroot pairing of a root-coordinate weight with alpha_i^vee."""
+    return _pair_coroot
 
 
 def _braid_word_matrix(module, letters, invert=False):
@@ -78,6 +106,35 @@ def _pivot_decomposition(pres, e):
 def pivot_decomposition():
     """The pivot-power split of an element of a localised presentation."""
     return _pivot_decomposition
+
+
+def _fraction_origins(run):
+    """(file name, function name) of every frame that creates a Fraction
+    while run() runs: the first caller outside fractions.py, so Fraction
+    arithmetic counts against the code that asked for it."""
+    new = Fraction.__new__.__code__
+    origins = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            f = frame.f_back
+            while f is not None and f.f_code.co_filename == new.co_filename:
+                f = f.f_back
+            if f is not None:
+                origins.add((Path(f.f_code.co_filename).name, f.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return origins
+
+
+@pytest.fixture
+def fraction_origins():
+    """Where the Fractions made by a callable come from."""
+    return _fraction_origins
 
 
 @pytest.fixture

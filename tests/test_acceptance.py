@@ -183,7 +183,7 @@ def test_criterion_9_gk_growth():
     _report(9, "graded growth exponents are exactly 3 - length", ok, started)
 
 
-def test_criterion_10_engine_properties(braid_word_matrix):
+def test_criterion_10_engine_properties(braid_word_matrix, weight_of):
     started = time.time()
     ok = True
     # LS tail support shape on every extracted presentation
@@ -219,7 +219,7 @@ def test_criterion_10_engine_properties(braid_word_matrix):
     checked = 0
     for (label, lam), module in sorted(built_modules().items()):
         datum = root_datum(label)
-        dims = {nu: len(idx) for nu, idx in module.weights.items()}
+        dims = {weight_of(module, k): len(idx) for k, idx in module.weights.items()}
         ok &= dims == weight_multiplicities(datum, lam)
         checked += 1
     ok &= checked >= 6

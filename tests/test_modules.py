@@ -17,11 +17,12 @@ def vec_eq(u, v):
            {k: c for k, c in v.items() if not c.is_zero()}
 
 
-def k_exponent(m, i, idx):
+def k_exponent(m, i, idx, weight_of):
     """K_i acts on basis vector idx of m by q^e with e = <wt, alpha_i>."""
     alpha_i = tuple(Fraction(int(t == i - 1)) for t in range(m.datum.rank))
-    e = m.datum.pairing(m.wt_of[idx], alpha_i)
-    assert e.denominator == 1, (i, m.wt_of[idx], e)
+    wt = weight_of(m, m.wt_of[idx])
+    e = m.datum.pairing(wt, alpha_i)
+    assert e.denominator == 1, (i, wt, e)
     return int(e)
 
 
@@ -52,16 +53,16 @@ def test_freudenthal_weyl_symmetry():
 
 # -- module construction --------------------------------------------------------
 
-def test_a1_vector_module():
+def test_a1_vector_module(weight_of):
     datum = root_datum("A1")
     m = build_module(datum, (1,))
     assert m.dim == 2
-    weights = set(m.weights)
+    weights = {weight_of(m, k) for k in m.weights}
     fw = root_coords(datum, (1,))
     assert weights == {fw, tuple(-x for x in fw)}
 
 
-def test_a2_fundamental_module():
+def test_a2_fundamental_module(weight_of):
     datum = root_datum("A2")
     m = build_module(datum, (1, 0))
     fw = root_coords(datum, (1, 0))
@@ -70,24 +71,24 @@ def test_a2_fundamental_module():
     w1 = tuple(f - a for f, a in zip(fw, a1))
     w2 = tuple(f - a - b for f, a, b in zip(fw, a1, a2))
     assert m.dim == 3
-    assert set(m.weights) == {fw, w1, w2}
+    assert {weight_of(m, k) for k in m.weights} == {fw, w1, w2}
 
 
 @pytest.mark.parametrize("label,lam", [
     ("A1", (2,)), ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)),
     ("A3", (0, 1, 0)), ("G2", (1, 0)),
 ])
-def test_dimensions_match_freudenthal(label, lam):
+def test_dimensions_match_freudenthal(label, lam, weight_of):
     datum = root_datum(label)
     m = build_module(datum, lam)
     mult = weight_multiplicities(datum, lam)
-    assert {nu: len(idx) for nu, idx in m.weights.items()} == mult
+    assert {weight_of(m, k): len(idx) for k, idx in m.weights.items()} == mult
 
 
 @pytest.mark.parametrize("label,lam", [
     ("A2", (1, 0)), ("A2", (1, 1)), ("B2", (0, 1)), ("A1", (3,)),
 ])
-def test_defining_relations(label, lam):
+def test_defining_relations(label, lam, weight_of):
     datum = root_datum(label)
     m = build_module(datum, lam)
     r = datum.rank
@@ -98,7 +99,7 @@ def test_defining_relations(label, lam):
                 lhs = mat_vec(m.E[i], mat_vec(m.F[j], v))
                 rhs = mat_vec(m.F[j], mat_vec(m.E[i], v))
                 if i == j:
-                    e = k_exponent(m, i, col)
+                    e = k_exponent(m, i, col, weight_of)
                     d = datum.d[i - 1]
                     assert e % d == 0
                     scal = q_bracket(e // d, d)
@@ -113,8 +114,8 @@ def test_defining_relations(label, lam):
     for i in range(1, r + 1):
         for j in range(1, r + 1):
             for (row, col), c in m.E[j].items():
-                e1 = k_exponent(m, i, row)
-                e0 = k_exponent(m, i, col)
+                e1 = k_exponent(m, i, row, weight_of)
+                e0 = k_exponent(m, i, col, weight_of)
                 alpha_i = tuple(Fraction(int(t == i - 1)) for t in range(r))
                 alpha_j = tuple(Fraction(int(t == j - 1)) for t in range(r))
                 assert e1 - e0 == datum.pairing(alpha_i, alpha_j)
@@ -198,7 +199,7 @@ def test_braid_on_sl2_highest_vectors():
         assert vec_eq(vinv, {k: c / q_factorial(N) for k, c in fN.items()})
 
 
-def test_braid_inverse_and_weight_permutation():
+def test_braid_inverse_and_weight_permutation(weight_of):
     datum = root_datum("A2")
     m = build_module(datum, (1, 1))
     one = {(t, t): ONE for t in range(m.dim)}
@@ -210,7 +211,7 @@ def test_braid_inverse_and_weight_permutation():
         # T(V_mu) = V_{s_i mu}
         s = datum.simple(i)
         for (row, col), c in t.items():
-            assert m.wt_of[row] == s.act_weight(m.wt_of[col])
+            assert weight_of(m, m.wt_of[row]) == s.act_weight(weight_of(m, m.wt_of[col]))
 
 
 def test_braid_word_independence_a2(braid_word_matrix):
@@ -230,16 +231,17 @@ def test_braid_word_independence_b2(braid_word_matrix):
     assert braid_word_matrix(m, (1, 2, 1, 2)) == braid_word_matrix(m, (2, 1, 2, 1))
 
 
-def test_extremal_vector_and_dual():
+def test_extremal_vector_and_dual(weight_of):
     datum = root_datum("A2")
     m = build_module(datum, (1, 0))
+    lam = root_coords(datum, (1, 0))
     w0 = datum.longest_element()
     for word in [(1,), (1, 2), (1, 2, 1), ()]:
         w = datum.from_word(word)
         v = m.tminus_winv_vector(word)
         assert len(v) == 1
         (idx, _), = v.items()
-        assert m.wt_of[idx] == w.act_weight(m.lam)
+        assert weight_of(m, m.wt_of[idx]) == w.act_weight(lam)
         xi = extremal_dual(m, word)
         assert xi.pair(v) == ONE
     # identity gives the dual of the highest weight vector
@@ -280,6 +282,23 @@ def test_demazure_reverses_bruhat_order():
                 # bigger y gives smaller Demazure module
                 for row in ech[wb].rows:
                     assert ech[wa].contains(row)
+
+
+@pytest.mark.parametrize("label,lam", [("B2", (1, 1)), ("G2", (1, 0)), ("A3", (0, 1, 0))])
+def test_weight_arithmetic_makes_no_fraction(label, lam, fraction_origins):
+    # a module's construction and braid operators do integer weight
+    # arithmetic; a Fraction may only appear as a Q(q) coefficient, made by
+    # the scalar layer
+    from qschub.modules import WeightModule
+    datum = root_datum(label)
+
+    def build():
+        m = WeightModule(datum, lam)
+        for i in range(1, datum.rank + 1):
+            m.braid_matrix(i, invert=True)
+
+    origins = fraction_origins(build)
+    assert {name for name, _ in origins} <= {"qscalar.py"}, origins
 
 
 def test_unsolvable_gram_row_names_its_weight_space(monkeypatch):

@@ -11,6 +11,7 @@ from qschub.pbw import Presentation, EngineError
 from qschub.schubert import schubert_cell
 from qschub.cauchon import DeletingDerivations, verify_main1b
 from qschub.ideals import IdealLab
+from qschub.weyl import root_datum
 
 
 def test_bad_tail_changes_chain_output():
@@ -195,3 +196,24 @@ def test_layer_certificate_catches_combinations_that_keep_x_t(monkeypatch):
     for transform in (lab._contract, lab._leading_part):
         with pytest.raises(EngineError, match="left a monomial"):
             transform(sl.slices, 3, lab.degrees())
+
+
+def test_a_module_over_the_dimension_cap_fails_only_its_own_check(tmp_path, monkeypatch):
+    # a module past DIMENSION_CAP raises a typed EngineError naming the cap,
+    # so the campaign records that check and still writes every result
+    import json
+    from qschub import cli, modules
+    monkeypatch.setattr(modules, "DIMENSION_CAP", 5)
+    monkeypatch.setattr(modules, "_MODULE_CACHE", {})
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("case = A1 : 1 : main1b\ncase = A2 : 1,2,1 : main2\n")
+    out = tmp_path / "cap.json"
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VERIFY
+    results = {r["type"]: r for r in json.loads(out.read_text())["results"]}
+    assert results["A1"]["ok"]
+    assert not results["A2"]["ok"]
+    assert "DIMENSION_CAP = 5" in results["A2"]["report"]["error"]
+    assert "V(2, 0)" in results["A2"]["report"]["error"]
+    with pytest.raises(modules.DimensionCapError, match=r"V\(1, 1\) of A2 has more than "
+                                                        r"DIMENSION_CAP = 5"):
+        modules.build_module(root_datum("A2"), (1, 1))

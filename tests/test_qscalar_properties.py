@@ -3,7 +3,7 @@
 Hypothesis drives the field axioms, the canonical form, the text round trip,
 specialisation, the coefficient invariant and the memo tables, and checks the
 sparse accumulate helper against a dense sum; sympy's cancel is an independent
-oracle for products and quotients.
+oracle for products and quotients, and sympy's gcd for the Z[q] gcd.
 """
 
 import copy
@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    HealthCheck, assume, example, given, settings, strategies as st,
+)
 
 from qschub.linalg import accumulate  # noqa: E402
 from qschub import qscalar  # noqa: E402
@@ -204,3 +206,71 @@ def test_products_and_quotients_match_sympy_cancel(a, b):
             assert ours.den[0][0] == 0 and ours.den[-1][1] == 1
             shifted = sympy.expand(num * q ** -ours.num[0][0])
             assert sympy.degree(sympy.gcd(shifted, den), q) == 0
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# dense integer polynomials, constant first, with a nonzero leading coefficient
+int_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(lambda v: v[-1])
+
+
+@CASES
+@example([1, 0, -1], [1, 1], [2, 2])
+@example([3], [5, 0, 7], [4, 0, 0, 6])
+@given(int_polys, int_polys, int_polys)
+def test_zgcd_is_the_gcd_over_the_integers(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    ac, bc = _dense_mul(a, c), _dense_mul(b, c)
+    g = qscalar._zgcd(ac, bc)
+    assert all(type(x) is int for x in g) and g[-1] > 0
+
+    def poly(v):
+        return sympy.Poly(list(reversed(v)), q, domain="ZZ")
+
+    _, prim_c = poly(c).primitive()
+    assert poly(g).rem(prim_c).is_zero
+    want = sympy.gcd(poly(ac), poly(bc))
+    assert poly(g) in (want, -want)
+
+
+int_dicts = st.dictionaries(st.integers(0, 3), st.integers(-4, 4), max_size=4).filter(
+    lambda d: any(d.values()))
+
+
+def _monic(d):
+    d = {e: c for e, c in d.items() if c}
+    d[max(d, default=0) + 1] = 1
+    return d
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example({0: 2, 1: 3}, {0: 3}, {0: 1})
+@given(int_dicts, int_dicts, int_dicts)
+def test_an_integral_canonical_form_makes_no_fraction(fraction_origins, num, den, common):
+    # an integer numerator over a monic integer denominator has an integral
+    # canonical form, and the gcd over Z[q] reaches it without a Fraction
+    num = qscalar._pmul(num, common)
+    den = qscalar._pmul(_monic(den), _monic(common))
+    made = []
+    origins = fraction_origins(lambda: made.append(Scalar(num, den)))
+    assert all(type(c) is int for c in _coefficients(made[0]))
+    assert origins == set(), origins
+
+
+def test_a_gcd_that_does_not_divide_fails_the_certificate(monkeypatch):
+    # the gcd is certified by exact trial division: a wrong one must raise
+    # EngineError, never yield a wrong canonical form
+    from qschub.qscalar import EngineError
+    monkeypatch.setattr(qscalar, "_zgcd", lambda a, b: [1, 1])
+    with pytest.raises(EngineError, match="gcd certificate"):
+        Scalar({1: 1}, {0: 1, 2: 1})
+    with pytest.raises(EngineError, match="gcd certificate"):
+        Scalar({0: 1, 2: 3}, {0: 2, 1: 1, 2: 1})

@@ -28,14 +28,15 @@ def test_a2_root_vector_operators():
             assert pack["F"][j], "root vector operators are nonzero"
 
 
-def test_tau_e_operators_shift_weights_up():
+def test_tau_e_operators_shift_weights_up(weight_of):
     cell = schubert_cell("A2", (1, 2, 1))
     pack = cell.ops((1, 0))
     module = pack["module"]
     for j in range(1, 4):
         beta = cell.betas[j - 1]
         for (row, col), c in pack["tauE"][j - 1].items():
-            diff = tuple(a - b for a, b in zip(module.wt_of[row], module.wt_of[col]))
+            diff = tuple(a - b for a, b in zip(weight_of(module, module.wt_of[row]),
+                                               weight_of(module, module.wt_of[col])))
             assert diff == beta
 
 
