@@ -17,7 +17,7 @@ import json
 import sys
 
 from .qscalar import render_scalar
-from .weyl import ReducedWord, root_datum
+from .weyl import ReducedWord, root_datum, default_weight_sweep
 from .subwords import lp_table_json, combinatorial_poset
 from .pbw import Presentation, EngineError
 from .schubert import schubert_cell
@@ -40,7 +40,10 @@ def _parse_word(text):
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise PreconditionError(f"word needs comma-separated letters, got {text!r}") from None
 
 
 def _word(label, letters):
@@ -79,13 +82,12 @@ def cmd_roots(args):
 
 
 def cmd_bruhat(args):
-    datum = root_datum(args.type)
+    w = _word(args.type, _parse_word(args.w)).element
     try:
-        y = datum.from_word(_parse_word(args.y))
-        w = _word(args.type, _parse_word(args.w)).element
+        y = w.datum.from_word(_parse_word(args.y))  # need not be reduced
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
-    leq = datum.bruhat_leq(y, w)
+    leq = w.datum.bruhat_leq(y, w)
     print(f"{y.render()} <= {w.render()}: {str(leq).lower()}")
     return EXIT_OK
 
@@ -121,16 +123,18 @@ def cmd_minor(args):
 def cmd_dd_run(args):
     word = _word(args.type, _parse_word(args.word))
     cell = schubert_cell(args.type, word.letters)
-    states, _ = cell.chain().run({}, record_stages=True)
+    chain = cell.chain()
+    chain.run({})  # certifies every stage, the top one against theta too
+    stages = [chain.stage_json(j) for j in range(cell.l, 1, -1)]
     payload = {
         "type": args.type, "word": list(word.letters),
         "relation_table": cell.presentation().table_text(),
-        "stages": [s.to_json() for s in states],
+        "stages": stages,
     }
     if args.emit:
         _emit(payload, args.emit)
-    for s in states:
-        print(f"stage {s.j}: certified={s.certified}")
+    for s in stages:
+        print(f"stage {s['stage']}: certified={s['certified']}")
     return EXIT_OK
 
 
@@ -174,10 +178,8 @@ def _verify_one(kind, label, letters, bound, lambda_budget, labs=None):
     datum = cell.datum
     cases = []
     ok = True
-    fundamentals = [tuple(int(t == a) for t in range(datum.rank))
-                    for a in range(datum.rank)]
     for y in datum.ordered_interval(cell.word.element):
-        for lam in fundamentals:
+        for lam in default_weight_sweep(datum.rank, datum.rank):  # the fundamentals
             rep = lab.verify_normality(y.reduced_word(), lam)
             cases.append(rep)
             ok &= rep["ok"]
@@ -260,11 +262,7 @@ def _parse_case(value):
         _require_positive("all<=", _check_int("all<=", word[5:]))
         _word(label, ())
     else:
-        try:
-            letters = _parse_word(word)
-        except ValueError:
-            raise PreconditionError(f"word needs comma-separated letters, got {word!r}") from None
-        _word(label, letters)
+        _word(label, _parse_word(word))
     return {"type": label, "word": word, "checks": checks}
 
 

@@ -63,6 +63,7 @@ from .linalg import Echelon, accumulate, nullspace
 from .pbw import EngineError
 from .modules import build_module, demazure_echelon, DualFunctional, root_coords
 from .subwords import lp_index_set
+from .weyl import default_weight_sweep
 
 __all__ = ["IdealLab", "UnsaturatedError", "BoundError"]
 
@@ -81,13 +82,12 @@ class BoundError(EngineError):
 
 
 class GradedIdealSlices:
-    def __init__(self, y, bound, saturated, lambdas_used, slices, dims_ambient):
+    def __init__(self, y, bound, saturated, lambdas_used, slices):
         self.y = y                    # the Weyl group element of the ideal
         self.bound = bound
         self.saturated = saturated
         self.lambdas_used = lambdas_used
         self.slices = slices          # degree tuple -> Echelon, every degree
-        self.dims_ambient = dims_ambient
 
     def dim(self, h):
         return len(self.slices[tuple(h)])
@@ -98,30 +98,6 @@ class GradedIdealSlices:
     def dims_json(self):
         return {",".join(map(str, h)): len(e) for h, e in sorted(self.slices.items())
                 if len(e)}
-
-
-def default_weight_sweep(rank, budget):
-    """Dominant weights by total fundamental-weight coefficient, then lex:
-    fundamentals first, then sums of two, and so on, capped by the budget."""
-    out = []
-    total = 1
-    while len(out) < budget:
-        level = []
-
-        def walk(pos, left, coeffs):
-            if pos == rank:
-                if left == 0:
-                    level.append(tuple(coeffs))
-                return
-            for c in range(left, -1, -1):
-                coeffs.append(c)
-                walk(pos + 1, left - c, coeffs)
-                coeffs.pop()
-
-        walk(0, total, [])
-        out.extend(sorted(level, reverse=True))
-        total += 1
-    return out[:budget]
 
 
 def _proportional(u, v):
@@ -191,8 +167,7 @@ class IdealLab:
         y = self.datum.from_word(key)
         if not self.datum.bruhat_leq(y, w):
             raise EngineError(f"{y.render()} is not below {w.render()}")
-        degrees = self.degrees()
-        slices = {h: Echelon() for h in degrees}
+        slices = {h: Echelon() for h in self.degrees()}
         used = []
         streak = 0
         saturated = False
@@ -207,8 +182,7 @@ class IdealLab:
             if streak >= 2 and len(used) >= self.datum.rank + 2:
                 saturated = True
                 break
-        hit = GradedIdealSlices(y, self.bound, saturated, used, slices,
-                                {h: len(m) for h, m in degrees.items()})
+        hit = GradedIdealSlices(y, self.bound, saturated, used, slices)
         self._slices[key] = hit
         return hit
 
@@ -677,7 +651,7 @@ class IdealLab:
         lam = root_coords(datum, lam_fw)
         y = datum.from_word(tuple(y_letters))
         w = cell.word.element
-        wy_lam = tuple(a + b2 for a, b2 in zip(w.act_weight(lam), y.act_weight(lam)))
+        wy_lam = tuple(a + b2 for a, b2 in zip(w.act(lam), y.act(lam)))
         checks = []
         for m in range(1, self.l + 1):
             exp = datum.pairing(wy_lam, cell.betas[m - 1])

@@ -65,7 +65,7 @@ def weight_multiplicities(datum, lam_fw):
     lam_rho = _vadd(lam, rho)
     c_top = datum.pairing(lam_rho, lam_rho)
     w0 = datum.longest_element()
-    lowest = w0.act_weight(lam)
+    lowest = w0.act(lam)
     ht_max = int(sum(_vsub(lam, lowest)))
     mult = {lam: 1}
     simples = [tuple(int(k == i) for k in range(datum.rank)) for i in range(datum.rank)]

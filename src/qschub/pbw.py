@@ -53,15 +53,13 @@ class Presentation:
     """Immutable relation table plus element arithmetic for one algebra."""
 
     def __init__(self, l, lam, tails, qself=None, degs=None, pivot=None,
-                 name="", nilpotency_cap=NILPOTENCY_CAP, validate=True):
+                 validate=True):
         self.l = l
         self.lam = dict(lam)                   # (k, j) -> Scalar, k > j
         self.tails = {kj: dict(t) for kj, t in tails.items() if t}
         self.qself = list(qself) if qself is not None else [None] * (l + 1)
         self.degs = tuple(tuple(d) for d in degs) if degs is not None else None
         self.pivot = pivot
-        self.name = name
-        self.nilpotency_cap = nilpotency_cap
         self._delta_memo = {}
         self._mono_memo = {}
         if validate:
@@ -98,12 +96,10 @@ class Presentation:
         return {self.unit_mono(j, power): coeff}
 
     def with_pivot(self, pivot):
-        p = Presentation(self.l, self.lam, self.tails, self.qself, self.degs,
-                         pivot=pivot, name=self.name,
-                         nilpotency_cap=self.nilpotency_cap, validate=False)
-        return p
+        return Presentation(self.l, self.lam, self.tails, self.qself, self.degs,
+                            pivot=pivot, validate=False)
 
-    def restrict(self, t, name=None):
+    def restrict(self, t):
         """Sub-presentation on x_1..x_t (tails of inner pairs are preserved)."""
         lam = {(k, j): v for (k, j), v in self.lam.items() if k <= t}
         tails = {}
@@ -111,9 +107,7 @@ class Presentation:
             if k <= t:
                 tails[(k, j)] = {m[:t]: c for m, c in tail.items()}
         degs = self.degs[:t] if self.degs is not None else None
-        return Presentation(t, lam, tails, self.qself[:t + 1], degs,
-                            name=name or f"{self.name}[1..{t}]",
-                            nilpotency_cap=self.nilpotency_cap, validate=False)
+        return Presentation(t, lam, tails, self.qself[:t + 1], degs, validate=False)
 
     # -- element helpers ------------------------------------------------------
 
@@ -193,12 +187,12 @@ class Presentation:
         return out
 
     def delta_nilpotency(self, k, e):
-        """Least m with delta_k^m(e) = 0; errors past the configured cap."""
+        """Least m with delta_k^m(e) = 0; errors past NILPOTENCY_CAP."""
         m = 0
         while e:
             e = self.apply_delta(k, e)
             m += 1
-            if m > self.nilpotency_cap:
+            if m > NILPOTENCY_CAP:
                 raise EngineError(f"delta_{k} not nilpotent within cap on element")
         return m
 
@@ -291,7 +285,7 @@ class Presentation:
             cur = {lo: ONE}
             t = 0
             while cur:
-                if t > self.nilpotency_cap:
+                if t > NILPOTENCY_CAP:
                     raise EngineError(f"delta_{p} not nilpotent within cap (localisation)")
                 shift = tuple(-(t + 1) if i == p - 1 else 0 for i in range(self.l))
                 base = _merge(hi, shift)
@@ -319,7 +313,7 @@ class Presentation:
         out = {}
         m = 0
         while True:
-            if m > self.nilpotency_cap:
+            if m > NILPOTENCY_CAP:
                 raise EngineError("theta series did not terminate within cap")
             cur = ctx.dd_term(self.l, e, m)
             if not cur:

@@ -34,11 +34,10 @@ Delta_l = (q_{a_l}^{-1} - q_{a_l}) x_l, which is asserted, not rescaled.
 
 from .qscalar import ONE, qpow, q_factorial
 from .linalg import accumulate, mat_mul, mat_vec, solve_columns
-from .weyl import ReducedWord, root_datum
+from .weyl import ReducedWord, root_datum, default_weight_sweep
 from .pbw import Presentation, EngineError
 from .cauchon import DeletingDerivations
 from .modules import build_module, extremal_dual
-from .subwords import successor_table
 
 __all__ = ["SchubertCell", "NormalizationError"]
 
@@ -59,7 +58,6 @@ class SchubertCell:
         self.letters = self.word.letters
         self.l = len(self.letters)
         self.betas = self.word.beta_sequence()
-        self.kappa, self.orbit_count = successor_table(self.word)
         self.d_of = tuple(datum.d[i - 1] for i in self.letters)
         self._ops = {}
         self._prefactors = {}
@@ -141,16 +139,10 @@ class SchubertCell:
                    "tauE": base["tauE"] + [mat_mul(mat_mul(rev_inv, module.E[letter]), rev)],
                    "fwd": mat_mul(fwd, t), "bwd": mat_mul(t_inv, bwd),
                    "rev": mat_mul(t, rev), "rev_inv": mat_mul(rev_inv, t_inv)}
-        hit["u_w"] = module.tminus_winv_vector(self.letters)
+        # u_w = T^{-1}_{w^{-1}} v_lambda, v_lambda being basis vector 0
+        hit["u_w"] = {r: c for (r, col), c in hit["rev_inv"].items() if not col}
         self._ops[key] = hit
         return hit
-
-    def _fundamental_list(self):
-        r = self.datum.rank
-        out = [tuple(int(t == a) for t in range(r)) for a in range(r)]
-        pairs = [tuple((a == t) + (b == t) for t in range(r))
-                 for a in range(r) for b in range(a, r)]
-        return out + pairs
 
     # -- presentation extraction --------------------------------------------------
 
@@ -160,7 +152,9 @@ class SchubertCell:
         rank-certified; index l is CGL-certified here."""
         if self._presentation is not None:
             return self._presentation
-        queue = self._fundamental_list()
+        # the fundamental weights, then the sums of two
+        r = self.datum.rank
+        queue = default_weight_sweep(r, r * (r + 3) // 2)
         mods = [queue.pop(0)]
         while True:
             try:
@@ -177,8 +171,7 @@ class SchubertCell:
         lam = {(k, j): self.lam_scalar(k, j)
                for k in range(2, self.l + 1) for j in range(1, k)}
         qself = [None] + [qpow(-self.datum.pairing(b, b)) for b in self.betas]
-        pres = Presentation(self.l, lam, tails, qself=qself, degs=self.degs(),
-                            name=f"U-[{self.word.element.render()}]@{self.letters}")
+        pres = Presentation(self.l, lam, tails, qself=qself, degs=self.degs())
         self._certify_cgl(pres)
         self._presentation = pres
         return pres

@@ -15,9 +15,12 @@ and hashing cheap; elements are interned per datum.
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["RootDatum", "WeylElement", "ReducedWord", "root_datum"]
+__all__ = ["RootDatum", "WeylElement", "ReducedWord", "root_datum", "default_weight_sweep"]
 
 _FAMILIES = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
+
+# the largest rank of a root datum
+RANK_CAP = 4
 
 
 def _adjacency(family, rank):
@@ -40,16 +43,16 @@ def _symmetrizers(family, rank):
 
 
 class RootDatum:
-    """Cartan data for one of the families A, B, C, D (rank <= rank_cap), G2."""
+    """Cartan data for one of the families A, B, C, D (rank <= RANK_CAP), G2."""
 
-    def __init__(self, family, rank, rank_cap=4):
+    def __init__(self, family, rank):
         family = family.upper()
         if family not in _FAMILIES:
             raise ValueError(f"unsupported type {family!r}")
         if family == "G" and rank != 2:
             raise ValueError("G exists only in rank 2")
-        if rank < _FAMILIES[family] or rank > max(rank_cap, 2):
-            raise ValueError(f"rank {rank} out of range for {family} (cap {rank_cap})")
+        if rank < _FAMILIES[family] or rank > RANK_CAP:
+            raise ValueError(f"rank {rank} out of range for {family} (RANK_CAP = {RANK_CAP})")
         self.family, self.rank = family, rank
         d = _symmetrizers(family, rank)
         self.d = tuple(d)
@@ -121,9 +124,6 @@ class RootDatum:
                    for i, ui in enumerate(u) if ui
                    for j, vj in enumerate(v) if vj)
 
-    def height(self, v):
-        return sum(v)
-
     def _simple_reflection(self, i):
         n = self.rank
         mat = [[int(r == c) for c in range(n)] for r in range(n)]
@@ -140,7 +140,7 @@ class RootDatum:
             new = set()
             for v in frontier:
                 for s in self.simple_reflections:
-                    w = s.act_root(v)
+                    w = s.act(v)
                     if w not in roots:
                         new.add(w)
             roots |= new
@@ -161,6 +161,9 @@ class RootDatum:
         return self.simple_reflections[i - 1]
 
     def from_word(self, letters):
+        """The product of the simple reflections of letters, reduced or not."""
+        if any(i < 1 or i > self.rank for i in letters):
+            raise ValueError(f"letters out of range for {self.label}: {tuple(letters)}")
         w = self.identity
         for i in letters:
             w = w * self.simple(i)
@@ -259,10 +262,8 @@ class WeylElement:
             self._inv = w
         return self._inv
 
-    def act_root(self, v):
-        return _apply(self.mat, v)
-
-    def act_weight(self, v):
+    def act(self, v):
+        """w(v) for a root or a weight in simple-root coordinates."""
         return _apply(self.mat, v)
 
     def sends_negative(self, i):
@@ -282,10 +283,6 @@ class WeylElement:
             else:
                 self._word = ()
         return self._word
-
-    def support(self):
-        """{i : s_i <= w}; equals the letter set of any reduced word."""
-        return frozenset(self.reduced_word())
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -320,8 +317,6 @@ class ReducedWord:
 
     def __init__(self, datum, letters):
         letters = tuple(int(i) for i in letters)
-        if any(i < 1 or i > datum.rank for i in letters):
-            raise ValueError(f"letters out of range for {datum.label}: {letters}")
         w = datum.from_word(letters)
         if w.length != len(letters):
             raise ValueError(f"word {letters} is not reduced for {datum.label}")
@@ -336,10 +331,6 @@ class ReducedWord:
     def __repr__(self):
         return f"ReducedWord({self.datum.label}, {list(self.letters)})"
 
-    def prefix(self, j):
-        """w(i)_{<=j} as a group element."""
-        return self.datum.from_word(self.letters[:j])
-
     def beta_sequence(self):
         """beta_j = (s_{a_1}...s_{a_{j-1}})(alpha_j), the inversion sequence."""
         if self._betas is None:
@@ -348,17 +339,41 @@ class ReducedWord:
             w = self.datum.identity
             for j, i in enumerate(self.letters):
                 alpha = tuple(int(k == i - 1) for k in range(n))
-                betas.append(w.act_root(alpha))
+                betas.append(w.act(alpha))
                 w = w * self.datum.simple(i)
             self._betas = tuple(betas)
         return self._betas
 
 
 @lru_cache(maxsize=None)
-def root_datum(label, rank_cap=4):
+def root_datum(label):
     """RootDatum from a label like 'A2', 'B2', 'G2'; cached."""
     label = label.strip().upper()
     if not label[1:].isdigit():
         raise ValueError(f"bad type label {label!r}: expected a family letter and a rank")
-    family, rank = label[0], int(label[1:])
-    return RootDatum(family, rank, rank_cap=rank_cap)
+    return RootDatum(label[0], int(label[1:]))
+
+
+def default_weight_sweep(rank, budget):
+    """Dominant weights, as fundamental-weight coefficients, by total
+    coefficient, then lex: fundamentals first, then sums of two, and so on,
+    capped by the budget."""
+    out = []
+    total = 1
+    while len(out) < budget:
+        level = []
+
+        def walk(pos, left, coeffs):
+            if pos == rank:
+                if left == 0:
+                    level.append(tuple(coeffs))
+                return
+            for c in range(left, -1, -1):
+                coeffs.append(c)
+                walk(pos + 1, left - c, coeffs)
+                coeffs.pop()
+
+        walk(0, total, [])
+        out.extend(sorted(level, reverse=True))
+        total += 1
+    return out[:budget]

@@ -76,8 +76,7 @@ def braid_word_matrix():
 
 def _cauchon_coordinates(dd, element):
     """The image of one homogeneous element in the chain's final coordinates."""
-    _, finals = dd.run({"e": element})
-    return finals["e"]
+    return dd.run({"e": element})["e"]
 
 
 @pytest.fixture
@@ -88,8 +87,10 @@ def cauchon_coordinates():
 
 @pytest.fixture
 def final_presentation():
-    """The chain's quantum affine space: the stage-2 presentation of dd."""
-    return lambda dd: dd.stage_presentation(2)
+    """The chain's quantum affine space: the stage-2 algebra of dd, as its
+    pivot presentation at x_1 (no tails, so the pivot changes no product of
+    monomials without negative exponents)."""
+    return lambda dd: dd.pivot_presentation(1)
 
 
 def _pivot_decomposition(pres, e):

@@ -72,7 +72,7 @@ def test_top_root_vector_never_changes():
         pres = cell.presentation()
         dd = DeletingDerivations(pres)
         l = pres.l
-        _, finals = dd.run({"top": pres.gen(l)})
+        finals = dd.run({"top": pres.gen(l)})
         assert finals["top"] == pres.gen(l)
 
 
@@ -109,7 +109,7 @@ def test_reexpress_round_trip():
     pres = cell.presentation()
     dd = DeletingDerivations(pres)
     exprs = dd.new_generators(3)
-    hi = dd.stage_presentation(4).with_pivot(3)
+    hi = dd.pivot_presentation(3)
     # evaluate a stage-3 monomial in stage-4 coordinates, then pull it back
     for mono in [(1, 0, 0), (1, 1, 0), (2, 0, 1), (0, 1, 1)]:
         value = hi.one()
@@ -125,7 +125,7 @@ def test_unreachable_element_raises():
     pres = cell.presentation()
     dd = DeletingDerivations(pres)
     exprs = dd.new_generators(3)
-    hi = dd.stage_presentation(4).with_pivot(3)
+    hi = dd.pivot_presentation(3)
     # x_3^{-1} alone is not in the stage-3 algebra or its allowed window
     with pytest.raises((NotExpressibleError, EngineError)):
         dd.reexpress(3, exprs, hi.gen(3, -7))
@@ -135,7 +135,7 @@ def test_reexpress_rejects_bad_elements():
     cell = schubert_cell("A2", (1, 2, 1))
     dd = DeletingDerivations(cell.presentation())
     exprs = dd.new_generators(3)
-    hi = dd.stage_presentation(4).with_pivot(3)
+    hi = dd.pivot_presentation(3)
     # x_1 and x_2 have different degrees, -beta_1 and -beta_2
     with pytest.raises(EngineError):
         dd.reexpress(3, exprs, hi.add(hi.gen(1), hi.gen(2)))
@@ -170,9 +170,9 @@ def test_main1b_across_families():
 
 
 def test_stage_dumps_serialise():
-    cell = schubert_cell("A2", (1, 2, 1))
-    rep = verify_main1b(cell, record_stages=True)
-    assert [s["stage"] for s in rep["stages"]] == [3, 2]
-    for s in rep["stages"]:
+    chain = schubert_cell("A2", (1, 2, 1)).chain()
+    stages = [chain.stage_json(j) for j in (3, 2)]
+    assert [s["stage"] for s in stages] == [3, 2]
+    for s in stages:
         assert s["certified"]
         assert set(s["generators"]) == {"1", "2", "3"}

@@ -227,18 +227,20 @@ def test_drivers_leave_shared_slices_unchanged():
     from qschub.ideals import IdealLab
     from qschub.schubert import schubert_cell
 
-    def state(sl):
-        return (sl.bound, sl.saturated, sl.lambdas_used, sl.dims_ambient,
-                {h: (e.pivots, e.rows) for h, e in sl.slices.items()})
+    def state(lab):
+        return (lab.degrees(),
+                {y: (sl.bound, sl.saturated, sl.lambdas_used,
+                     {h: (e.pivots, e.rows) for h, e in sl.slices.items()})
+                 for y, sl in lab._slices.items()})
 
     lab = IdealLab(schubert_cell("A2", (1, 2, 1)), 6)
     for y in lab.datum.lower_interval(lab.cell.word.element):
         lab.slices(y.reduced_word())
-    before = copy.deepcopy({y: state(sl) for y, sl in lab._slices.items()})
+    before = copy.deepcopy(state(lab))
     for check in ("main2", "main2-ind", "poset", "normality"):
         rep, ok = _verify_one(check, "A2", (1, 2, 1), 6, 12, {6: lab})
         assert ok, check
-    assert {y: state(sl) for y, sl in lab._slices.items()} == before
+    assert state(lab) == before
 
 
 def test_campaign_rejects_a_config_with_no_case(tmp_path, capsys):
@@ -311,3 +313,45 @@ def test_campaign_report_does_not_depend_on_the_scalar_tables(tmp_path, monkeypa
         assert all(len(getattr(qscalar, name)) <= cap for name in tables)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_verify_main1b_on_the_empty_word_passes_vacuously(tmp_path, capsys):
+    # the empty word has no minors and no stages; main2, poset, gk and
+    # normality already pass on it
+    out = tmp_path / "e.json"
+    assert main(["verify", "main1b", "--type", "A2", "--word", "", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"type": "A2", "word": [], "cases": [],
+                                           "ok": True, "anchor_ok": True, "fcomm": []}
+
+
+def test_campaign_with_an_empty_word_main1b_writes_every_result(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("case = A2 :  : main1b\ncase = A1 : 1 : main1b\n")
+    out = tmp_path / "r.json"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
+    results = {(r["type"], tuple(r["word"])): r for r in json.loads(out.read_text())["results"]}
+    assert set(results) == {("A2", ()), ("A1", (1,))}
+    assert all(r["ok"] for r in results.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["bruhat", "--type", "X9", "--y", "1", "--w", "1"],
+    ["bruhat", "--type", "A2", "--y", "3", "--w", "1"],
+    ["bruhat", "--type", "A2", "--y", "0", "--w", "1"],
+    ["roots", "--type", "A2", "--word", "1,x"],
+    ["lp", "--type", "A2", "--word", "1,x"],
+    ["verify", "main1b", "--type", "A2", "--word", "1,x"],
+])
+def test_bad_cli_input_exits_2_without_a_traceback(tmp_path, argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "qschub", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr

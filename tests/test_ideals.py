@@ -12,7 +12,8 @@ from qschub.modules import build_module, demazure_echelon, DualFunctional, root_
 from qschub.pbw import EngineError
 from qschub.schubert import schubert_cell
 from qschub.subwords import lp_index_set
-from qschub.ideals import IdealLab, UnsaturatedError, BoundError, default_weight_sweep
+from qschub.ideals import IdealLab, UnsaturatedError, BoundError
+from qschub.weyl import default_weight_sweep
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,7 @@ class NoShortcutLab(IdealLab):
             nu = module.wt_of[next(iter(row))]
             dem_by_weight.setdefault(nu, []).append(row)
         lam = root_coords(self.datum, lam_fw)
-        wl = cell.word.element.act_weight(lam)
+        wl = cell.word.element.act(lam)
         depth_of = {self.weight_of(module, k): k for k in module.weights}
         fresh = []
         for h in slices:
@@ -381,7 +382,7 @@ def test_weight_keys_and_degrees_are_int_tuples(label, word, weight_of):
         assert keys == set(module.weights)
         assert all(type(x) is int for k in keys for x in k), lam_fw
         lam = root_coords(datum, lam_fw)
-        w_lam = w.act_weight(lam)
+        w_lam = w.act(lam)
         drop = lab.cell.weight_drop(lam_fw)
         assert all(type(x) is int for x in drop)
         assert drop == tuple(a - b for a, b in zip(lam, w_lam))

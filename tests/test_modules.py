@@ -46,7 +46,7 @@ def test_freudenthal_weyl_symmetry():
     mult = weight_multiplicities(datum, (1, 1))
     w0 = datum.longest_element()
     for nu, m in mult.items():
-        assert mult[w0.act_weight(nu)] == m
+        assert mult[w0.act(nu)] == m
     # adjoint representation: zero weight has multiplicity 2
     assert mult[(Fraction(0), Fraction(0))] == 2
 
@@ -211,7 +211,7 @@ def test_braid_inverse_and_weight_permutation(weight_of):
         # T(V_mu) = V_{s_i mu}
         s = datum.simple(i)
         for (row, col), c in t.items():
-            assert weight_of(m, m.wt_of[row]) == s.act_weight(weight_of(m, m.wt_of[col]))
+            assert weight_of(m, m.wt_of[row]) == s.act(weight_of(m, m.wt_of[col]))
 
 
 def test_braid_word_independence_a2(braid_word_matrix):
@@ -241,7 +241,7 @@ def test_extremal_vector_and_dual(weight_of):
         v = m.tminus_winv_vector(word)
         assert len(v) == 1
         (idx, _), = v.items()
-        assert weight_of(m, m.wt_of[idx]) == w.act_weight(lam)
+        assert weight_of(m, m.wt_of[idx]) == w.act(lam)
         xi = extremal_dual(m, word)
         assert xi.pair(v) == ONE
     # identity gives the dual of the highest weight vector

@@ -15,6 +15,7 @@ from qschub.qscalar import ONE, cauchon_factorial, qpow
 from qschub.linalg import accumulate, mat_mul
 from qschub.pbw import Presentation, EngineError
 from qschub.schubert import SchubertCell, schubert_cell, _RankDeficient
+from qschub.weyl import default_weight_sweep
 from qschub.cauchon import DeletingDerivations, verify_main1b
 
 LONGEST = [("A3", (1, 2, 1, 3, 2, 1)), ("B3", (3, 2, 1, 3, 2, 1, 3, 2, 1)),
@@ -29,7 +30,8 @@ def empty_cache(monkeypatch):
 def _tails_from_scratch(cell):
     """Every pair (k, j) solved on the word's own operators, on a module sum
     raised until all of them are rank-certified: no prefix table is read."""
-    queue = cell._fundamental_list()
+    r = cell.datum.rank
+    queue = default_weight_sweep(r, r * (r + 3) // 2)
     mods = [queue.pop(0)]
     while True:
         packs = [cell.ops(lam) for lam in mods]
@@ -76,7 +78,7 @@ def _series(dd, j):
     """Stage-j generators summed directly in this word's own stage-(j+1)
     algebra, for every generator index: the series the chain computes at
     its top pivot only."""
-    hi = dd.stage_presentation(j + 1).with_pivot(j)
+    hi = dd.pivot_presentation(j)
     qj = dd.orig.qself[j]
     exprs = {}
     for i in range(1, dd.l + 1):
@@ -117,7 +119,7 @@ def test_stage_below_the_top_rejects_generators_not_from_the_prefix(empty_cache)
     cell = schubert_cell("A3", (1, 2, 1, 3))
     chain = cell.chain()
     exprs = dict(chain.stage(3))
-    hi = chain.stage_presentation(4).with_pivot(3)
+    hi = chain.pivot_presentation(3)
     exprs[1] = hi.add(exprs[1], hi.gen(1), qpow(2))
     with pytest.raises(EngineError, match="stage 3: generator 1 differs"):
         chain.verify_stage(3, exprs)
@@ -155,18 +157,19 @@ def test_campaign_results_do_not_depend_on_case_order(tmp_path, monkeypatch):
 def test_every_certificate_runs_once_per_distinct_prefix(tmp_path, monkeypatch):
     # stage relation checks by (word, stage, pair), and CGL nilpotency
     # certificates (each beside its sigma-delta twist check) by (word, index,
-    # generator), over a campaign holding every prefix of its words
+    # generator), over a campaign holding every prefix of its words; a
+    # word's certificates are keyed by its cell's presentation object
     monkeypatch.setattr(schubert, "_CELL_CACHE", {})
     relations, nilpotency = [], []
     check = DeletingDerivations._check_relation
     nilpotent = Presentation.delta_nilpotency
 
     def counted_check(self, hi, j, exprs, k, i):
-        relations.append((self.orig.name, j, k, i))
+        relations.append((self.orig, j, k, i))
         return check(self, hi, j, exprs, k, i)
 
     def counted_nilpotency(self, k, e):
-        nilpotency.append((self.name, k, tuple(e)))
+        nilpotency.append((self, k, tuple(e)))
         return nilpotent(self, k, e)
 
     monkeypatch.setattr(DeletingDerivations, "_check_relation", counted_check)
@@ -180,8 +183,8 @@ def test_every_certificate_runs_once_per_distinct_prefix(tmp_path, monkeypatch):
         pres, m = schubert_cell("A3", u).presentation(), len(u)
         for j in range(2, m + 1):
             ks = range(2, m + 1) if j == m else (m,)
-            want_relations += [(pres.name, j, k, i) for k in ks for i in range(1, k)]
-        want_nilpotency += [(pres.name, m, (pres.unit_mono(i),)) for i in range(1, m)]
+            want_relations += [(pres, j, k, i) for k in ks for i in range(1, k)]
+        want_nilpotency += [(pres, m, (pres.unit_mono(i),)) for i in range(1, m)]
     assert Counter(relations) == Counter(want_relations)
     assert max(Counter(relations).values()) == 1
     assert Counter(nilpotency) == Counter(want_nilpotency)
@@ -198,7 +201,7 @@ def test_corrupted_prefix_tail_fails_the_extension(empty_cache, label, letters):
     (mono, c), = tails[(3, 1)].items()
     tails[(3, 1)] = {mono: c * qpow(4)}
     prefix._presentation = Presentation(good.l, good.lam, tails, qself=good.qself,
-                                        degs=good.degs, name=good.name)
+                                        degs=good.degs)
     cell = schubert_cell(label, letters)
     if label == "B2":
         with pytest.raises(EngineError, match="stage 4: relation"):

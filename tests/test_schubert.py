@@ -6,6 +6,7 @@ from qschub.weyl import root_datum
 from qschub.pbw import EngineError
 from qschub.schubert import SchubertCell, schubert_cell
 from qschub.modules import build_module, root_coords
+from qschub.subwords import successor_table
 
 
 def test_a1_minor_is_scaled_generator():
@@ -90,9 +91,9 @@ def minor_degree(cell, j):
     """(w - y) applied to the fundamental weight, as an integer vector: the
     Q-degree of Delta_j in the deg F_{beta} = -beta convention."""
     lam = root_coords(cell.datum, cell.fundamental_fw(j))
-    y = cell.word.prefix(j - 1)
+    y = cell.datum.from_word(cell.letters[:j - 1])
     w = cell.word.element
-    diff = tuple(a - b for a, b in zip(w.act_weight(lam), y.act_weight(lam)))
+    diff = tuple(a - b for a, b in zip(w.act(lam), y.act(lam)))
     assert all(x.denominator == 1 for x in diff), diff
     return tuple(int(x) for x in diff)
 
@@ -103,13 +104,14 @@ def verify_leading_term(cell, j):
     pres = cell.presentation()
     minor = cell.quantum_minor(j)
     coeff = cell.q_alpha_diff(j)
-    if cell.kappa[j - 1] is not None:
-        lead = pres.mul(cell.quantum_minor(cell.kappa[j - 1]), pres.gen(j))
+    kappa = successor_table(cell.word)[0][j - 1]
+    if kappa is not None:
+        lead = pres.mul(cell.quantum_minor(kappa), pres.gen(j))
     else:
         lead = pres.gen(j)
     diff = pres.add(minor, lead, -coeff)
     bad = [m for m in diff if any(m[t] for t in range(j))]
-    return {"j": j, "kappa": cell.kappa[j - 1], "ok": not bad, "bad": bad}
+    return {"j": j, "kappa": kappa, "ok": not bad, "bad": bad}
 
 
 def minor_commutation_exponent(cell, j, k):
@@ -184,7 +186,7 @@ def test_b_element_degree_and_nonzero():
             lam = root_coords(datum, lam_fw)
             y = datum.from_word(y_letters)
             want = tuple(int(a - b2) for a, b2 in
-                         zip(w.act_weight(lam), y.act_weight(lam)))
+                         zip(w.act(lam), y.act(lam)))
             assert pres.degree(b) == want
 
 
