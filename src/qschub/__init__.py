@@ -7,7 +7,7 @@ operators, quantum minors through the graded pairing map, the
 deleting-derivations chain, and bounded-degree torus-invariant ideals.
 """
 
-from .qscalar import Scalar, qpow, q_integer, q_factorial, cauchon_factorial, parse_scalar
+from .qscalar import Scalar, qpow, q_bracket, q_factorial, cauchon_factorial, parse_scalar
 from .weyl import RootDatum, WeylElement, ReducedWord, root_datum
 from .subwords import (successor_table, is_left_positive, enumerate_lp,
                        lp_index_set, combinatorial_poset)

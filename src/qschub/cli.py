@@ -14,6 +14,7 @@ canonically sorted JSON, so re-running a campaign reproduces them bit for bit.
 
 import argparse
 import json
+import os
 import sys
 
 from .qscalar import render_scalar
@@ -52,6 +53,13 @@ def _word(label, letters):
         return ReducedWord(datum, letters)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
+
+
+def _require_output_path(what, path):
+    # an output path must name a file in an existing directory; checked
+    # before any work, so a bad path does not waste a finished run
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise PreconditionError(f"{what}: {path!r} is not a file in an existing directory")
 
 
 def _emit(payload, path=None):
@@ -279,14 +287,18 @@ def _expand_words(label, word_field, length_cap):
 
 
 def cmd_campaign(args):
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+    except OSError as exc:
+        raise PreconditionError(f"--config: {exc}") from None
     bound = int(cfg.get("bound", 6))
     gk_bound = int(cfg.get("gk_bound", 8))
     normality_bound = int(cfg.get("normality_bound", 4))
     lambda_budget = int(cfg.get("lambda_budget", 12))
     length_cap = int(cfg.get("length_cap", 8))
     out_path = args.out or cfg.get("out")
+    _require_output_path("out", out_path)
     results = []
     all_ok = True
     for case in cfg["cases"]:
@@ -378,6 +390,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "emit", "poset"):
+            _require_output_path(f"--{flag}", getattr(args, flag, None))
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

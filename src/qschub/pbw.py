@@ -330,9 +330,6 @@ class Presentation:
     def element_to_json(e):
         return sorted([list(m), render_scalar(c)] for m, c in e.items())
 
-    def element_from_json(self, data):
-        return {tuple(m): parse_scalar(s) for m, s in data}
-
     def table_text(self):
         """Plain-text relation table: `rel k j : lambda | mono coeff ; ...`."""
         lines = [f"gens {self.l}"]

@@ -1,17 +1,20 @@
 """Exact arithmetic in the field Q(q) of rational functions in q over the rationals.
 
-A Scalar is a fraction num/den of polynomials in q with rational coefficients,
+A Scalar is a fraction num/den of polynomials in q with integer coefficients,
 kept in a canonical form:
 
-  * num is a sparse Laurent polynomial, a tuple of (exponent, coefficient)
-    pairs sorted by exponent;
-  * den is an ordinary polynomial in the same form, with nonzero constant
-    term and leading coefficient 1;
-  * gcd(num shifted to lowest exponent 0, den) = 1;
+  * num is a sparse Laurent polynomial over Z, a tuple of (exponent,
+    coefficient) pairs sorted by exponent;
+  * den is an ordinary polynomial over Z in the same form, with nonzero
+    constant term and positive leading coefficient;
+  * num shifted to lowest exponent 0 and den are coprime in Z[q], contents
+    included: 2/(2q + 2) is stored as 1/(q + 1);
   * zero is () / ((0, 1),).
 
-Canonical forms are unique, so equality is structural equality and Scalars are
-hashable.  All operations are pure and exact; no floating point anywhere.
+Z[q] is a unique factorisation domain whose units are +1 and -1, so the sign
+rule makes canonical forms unique: equality is structural equality and
+Scalars are hashable.  All operations are pure and exact; no floating point
+anywhere.
 
 The engine repeats a few scalar operations many times over (on the benchmark
 campaigns, 90-98% of products and 64-97% of sums have been computed before),
@@ -38,23 +41,22 @@ canonicalising constructor: making it a hash-consing __new__ would make an
 unshared Scalar compare unequal to its shared twin, and would hide
 construction from wrappers that count and time __init__.
 
-A coefficient is an int when it is integral and a fractions.Fraction (with
-denominator > 1) only when it is not; an integral Fraction is never stored.
-Since str(3) == str(Fraction(3)) and hash(3) == hash(Fraction(3)), rendering
-and hashing do not depend on which of the two a value took on the way.  Every
-coefficient division goes through _div, which divides ints with // when the
-division is exact and through Fraction otherwise, so int / int (a float)
-never runs.
+Every stored coefficient is an int, so sums and products never leave Z and
+the kernel creates no fractions.Fraction.  A rational coefficient can only
+come from outside: Scalar({...}) with Fraction values, from_fraction and
+parse_scalar.  _canon clears those once by the lcm of their denominators.
+It then takes the gcd of the shifted numerator and the denominator in Z[q]
+by the primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1: every
+pseudo-remainder is reduced to its primitive part, so the coefficients stay
+small) times the gcd of their contents, divides both by it with exact
+integer trial division, and makes the leading coefficient of the
+denominator positive.  The trial division is the gcd's certificate: a
+nonzero remainder raises EngineError instead of returning a form that is not
+canonical.
 
-The gcd that makes a form canonical runs over Z[q] and never creates a
-Fraction.  _canon clears the coefficient denominators of the numerator and
-the denominator once, takes their gcd in Z[q] by the primitive remainder
-sequence (Knuth, TAOCP vol. 2, 4.6.1: every pseudo-remainder is reduced to
-its primitive part, so the coefficients stay small and integral), and
-divides both by it with exact integer trial division.  That division is the
-gcd's certificate: a nonzero remainder raises EngineError instead of
-returning a form that is not canonical.  Only the last step, making the
-denominator monic, may give Fraction coefficients.
+The text form shows the denominator monic: render_scalar divides both parts
+by the denominator's leading coefficient, so 1/(2q + 1) reads
+(1/2)/(q + 1/2).  Only rendering makes those rational coefficients.
 """
 
 from fractions import Fraction
@@ -62,7 +64,7 @@ from math import gcd, lcm
 
 __all__ = [
     "Scalar", "ZERO", "ONE", "qpow", "from_fraction",
-    "q_bracket", "q_integer", "q_factorial",
+    "q_bracket", "q_factorial",
     "cauchon_integer", "cauchon_factorial",
     "parse_scalar", "EngineError",
 ]
@@ -97,30 +99,12 @@ def _share(s):
     return _remember(_SHARED, key, s) if t is None else t
 
 
-def _norm(c):
-    # an integral Fraction becomes its int; ints and other Fractions stay
-    return c if c.__class__ is int or c.denominator != 1 else c.numerator
-
-
-def _div(a, b):
-    # the one coefficient division: exact ints by //, anything else by Fraction
-    if a.__class__ is int and b.__class__ is int:
-        quo, rem = divmod(a, b)
-        if not rem:
-            return quo
-    return _norm(Fraction(a) / b)
-
-
-def _trim(d):
-    return {e: _norm(c) for e, c in d.items() if c}
-
-
 def _padd(a, b):
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0) + c
         if s:
-            out[e] = s if s.__class__ is int else _norm(s)
+            out[e] = s
         else:
             out.pop(e, None)
     return out
@@ -141,7 +125,7 @@ def _pmul(a, b):
             e = ea + eb
             s = out.get(e, 0) + ca * cb
             if s:
-                out[e] = s if s.__class__ is int else _norm(s)
+                out[e] = s
             else:
                 out.pop(e, None)
     return out
@@ -151,36 +135,20 @@ def _scaled(terms, k, c0):
     # (exponent, coefficient) pairs times c0*q^k, in the same order
     if c0 == 1:
         return tuple([(e + k, c) for e, c in terms])
-    return tuple([(e + k, p if (p := c * c0).__class__ is int else _norm(p))
-                  for e, c in terms])
+    return tuple([(e + k, c * c0) for e, c in terms])
 
 
-def _pshift(a, k):
-    if k == 0:
-        return dict(a)
-    return {e + k: c for e, c in a.items()}
-
-
-def _to_dense(a):
-    # ordinary polynomial dict -> dense coefficient list, constant first
-    n = max(a)
-    out = [0] * (n + 1)
-    for e, c in a.items():
-        out[e] = c
-    return out
-
-
-def _integral(v):
-    """(w, m): the dense list v times m, the lcm of its coefficient
-    denominators, so that w holds ints only."""
-    m = 1
-    for c in v:
-        if c.__class__ is not int:
-            m = lcm(m, c.denominator)
-    if m == 1:
-        return v, 1
-    return [c * m if c.__class__ is int else c.numerator * (m // c.denominator)
-            for c in v], m
+def _dense(a):
+    """(s, v) with a = q^s * v(q): v is the dense coefficient list, constant
+    first and nonzero, of the Laurent polynomial a; v is [] when a is 0."""
+    keys = [e for e, c in a.items() if c]
+    if not keys:
+        return 0, []
+    s = min(keys)
+    v = [0] * (max(keys) - s + 1)
+    for e in keys:
+        v[e - s] = a[e]
+    return s, v
 
 
 def _pseudo_remainder(a, b):
@@ -247,39 +215,30 @@ def _exact_quotient(a, g, which):
 
 
 def _canon(num, den):
-    num = _trim(num)
-    den = _trim(den)
-    if not den:
+    # a rational coefficient only ever comes from outside the kernel; one lcm
+    # of the denominators clears them all (an int's denominator is 1)
+    coeffs = [*num.values(), *den.values()]
+    if any(c.__class__ is not int for c in coeffs):
+        m = lcm(*[c.denominator for c in coeffs])
+        num = {e: c.numerator * (m // c.denominator) for e, c in num.items()}
+        den = {e: c.numerator * (m // c.denominator) for e, c in den.items()}
+    sd, d = _dense(den)
+    if not d:
         raise ZeroDivisionError("division by zero in Q(q)")
-    if not num:
+    sn, p = _dense(num)
+    if not p:
         return (), _DEN_ONE
-    sd = min(den)
-    if sd:
-        den = _pshift(den, -sd)
-        num = _pshift(num, -sd)
-    sn = min(num)
-    p = _pshift(num, -sn) if sn else num
-    if len(den) == 1 and den.get(0) is not None:
-        # constant denominator: fold into numerator
-        c = den[0]
-        if c != 1:
-            p = {e: _div(v, c) for e, v in p.items()}
-        den = {0: 1}
-    else:
-        # p/den = (pz/mp) / (dz/md) with pz, dz over Z; cancel their gcd in
-        # Z[q] and make the denominator monic
-        pz, mp = _integral(_to_dense(p))
-        dz, md = _integral(_to_dense(den))
-        g = _zgcd(pz, dz)
-        if g != [1]:
-            pz = _exact_quotient(pz, g, "numerator")
-            dz = _exact_quotient(dz, g, "denominator")
-        lc = dz[-1]
-        scale = mp * lc
-        den = {e: _div(c, lc) for e, c in enumerate(dz) if c}
-        p = {e: _div(c * md, scale) for e, c in enumerate(pz) if c}
-    num = _pshift(p, sn) if sn else p
-    return tuple(sorted(num.items())), tuple(sorted(den.items()))
+    # divide by the gcd, signed so that the denominator's leading
+    # coefficient comes out positive
+    g = _zgcd(p, d)
+    if d[-1] < 0:
+        g = [-x for x in g]
+    if g != [1]:
+        p = _exact_quotient(p, g, "numerator")
+        d = _exact_quotient(d, g, "denominator")
+    s = sn - sd
+    return (tuple([(e + s, c) for e, c in enumerate(p) if c]),
+            tuple([(e, c) for e, c in enumerate(d) if c]))
 
 
 class Scalar:
@@ -288,9 +247,7 @@ class Scalar:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = {0: 1}
-        self.num, self.den = _canon(num, den)
+        self.num, self.den = _canon(num, {0: 1} if den is None else den)
         self._hash = None
 
     @classmethod
@@ -313,7 +270,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = from_fraction(Fraction(other))
+            other = from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -353,12 +310,12 @@ class Scalar:
         a, b = self.num, other.num
         if not a or not b:
             return ZERO
-        # A monomial c*q^k with denominator 1 scales the other numerator: the
-        # shifted numerator is only multiplied by a unit, so it stays coprime
-        # to the denominator and the result is already canonical.
-        if len(b) == 1 and other.den == _DEN_ONE:
+        # A monomial c*q^k with denominator 1 scales the other numerator.  If
+        # the other denominator is monic, it is primitive in Z[q], so c shares
+        # no factor with it and the result is already canonical.
+        if len(b) == 1 and other.den == _DEN_ONE and self.den[-1][1] == 1:
             return Scalar._raw(_scaled(a, *b[0]), self.den)
-        if len(a) == 1 and self.den == _DEN_ONE:
+        if len(a) == 1 and self.den == _DEN_ONE and other.den[-1][1] == 1:
             return Scalar._raw(_scaled(b, *a[0]), other.den)
         if self.den == _DEN_ONE and other.den == _DEN_ONE:
             return Scalar._raw(tuple(sorted(_pmul(dict(a), dict(b)).items())), _DEN_ONE)
@@ -369,14 +326,14 @@ class Scalar:
         return _remember(_INV, self, self._inverse()) if out is None else out
 
     def _inverse(self):
-        # num = c*q^s*P with P(0) != 0 and P monic, coprime to den; so the
-        # inverse is (q^-s*den/c) / P, canonical without a gcd.
+        # num = q^s*P with P(0) != 0, coprime to den; so the inverse is
+        # q^-s*den / P, canonical once P's leading coefficient is positive.
         num = self.num
         if not num:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        s, c = num[0][0], num[-1][1]
-        return Scalar._raw(tuple([(e - s, _div(x, c)) for e, x in self.den]),
-                           tuple([(e - s, _div(x, c)) for e, x in num]))
+        s, sign = num[0][0], 1 if num[-1][1] > 0 else -1
+        return Scalar._raw(tuple([(e - s, sign * x) for e, x in self.den]),
+                           tuple([(e - s, sign * x) for e, x in num]))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -429,7 +386,8 @@ def qpow(e):
 
 
 def from_fraction(c):
-    return _share(Scalar({0: Fraction(c)}))
+    """The constant c, an int or a Fraction."""
+    return _share(Scalar({0: c}))
 
 
 # -- q-combinatorics -------------------------------------------------------
@@ -443,13 +401,6 @@ def q_bracket(n, d=1):
     # q^{d(1-n)} + q^{d(3-n)} + ... + q^{d(n-1)}: distinct exponents, each
     # coefficient 1, so the ascending tuple is already canonical
     return Scalar._raw(tuple((d * e, 1) for e in range(1 - n, n, 2)), _DEN_ONE)
-
-
-def q_integer(n, d=1):
-    """The balanced q-integer [n] at q^d, for n >= 0."""
-    if n < 0:
-        raise ValueError("q_integer needs n >= 0")
-    return q_bracket(n, d)
 
 
 def q_factorial(n, d=1):
@@ -502,9 +453,15 @@ def _render_poly(d):
 
 
 def render_scalar(s):
-    if s.den == _DEN_ONE:
-        return _render_poly(s.num)
-    return f"({_render_poly(s.num)})/({_render_poly(s.den)})"
+    num, den = s.num, s.den
+    lc = den[-1][1]
+    if lc != 1:
+        # the text shows the monic denominator
+        num = [(e, Fraction(c, lc)) for e, c in num]
+        den = [(e, Fraction(c, lc)) for e, c in den]
+    if len(den) == 1:
+        return _render_poly(num)
+    return f"({_render_poly(num)})/({_render_poly(den)})"
 
 
 class _ParseError(ValueError):
@@ -541,7 +498,7 @@ def _tokenize(text):
                 toks.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k]))))
                 i = k
             else:
-                toks.append(("num", Fraction(int(text[i:j]))))
+                toks.append(("num", int(text[i:j])))
                 i = j
         else:
             raise _ParseError(f"bad character {ch!r} in scalar text")

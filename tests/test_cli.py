@@ -341,6 +341,12 @@ def test_campaign_with_an_empty_word_main1b_writes_every_result(tmp_path, capsys
     ["roots", "--type", "A2", "--word", "1,x"],
     ["lp", "--type", "A2", "--word", "1,x"],
     ["verify", "main1b", "--type", "A2", "--word", "1,x"],
+    ["campaign", "--config", "missing.cfg"],
+    ["roots", "--type", "A2", "--word", "1", "--out", "missing/x.json"],
+    ["verify", "main1b", "--type", "A2", "--word", "1,2,1", "--out", "missing/x.json"],
+    ["dd-run", "--type", "A2", "--word", "1,2,1", "--emit", "missing/x.json"],
+    ["lp", "--type", "A2", "--word", "1,2,1", "--poset", "missing/x.json"],
+    ["roots", "--type", "A2", "--word", "1", "--out", "."],
 ])
 def test_bad_cli_input_exits_2_without_a_traceback(tmp_path, argv):
     import os
@@ -355,3 +361,12 @@ def test_bad_cli_input_exits_2_without_a_traceback(tmp_path, argv):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+def test_campaign_out_key_into_a_missing_directory_exits_2_before_any_check(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"out = {tmp_path / 'missing' / 'r.json'}\ncase = A1 : 1 : main1b\n")
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out: ") and "not a file" in captured.err

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -140,9 +141,7 @@ _NO_CALLER_IN_PACKAGE = {
     "modules.py:weight_multiplicities": "Freudenthal oracle, independent of the modules "
                                         "it checks",
     "modules.py:built_modules": "lets tests and perfbench see every module built",
-    "pbw.py:element_from_json": "inverse of element_to_json, for round-trip tests",
     "pbw.py:from_table_text": "inverse of table_text, for round-trip tests",
-    "qscalar.py:q_integer": "q-combinatorics, tested against closed forms",
     "qscalar.py:specialize": "evaluation at a rational q, the property tests' oracle",
     "schubert.py:element_operator": "engine products against the module action, in tests",
     "subwords.py:is_left_positive": "the definition that enumerate_lp is tested against",
@@ -171,6 +170,15 @@ def test_package_has_no_callerless_functions():
     callerless = {key for key, name, method in defined
                   if name not in attrs and (method or name not in names)}
     assert callerless == set(_NO_CALLER_IN_PACKAGE)
+
+
+def test_package_parses_at_the_declared_python_floor():
+    # no file may use syntax newer than pyproject.toml's requires-python
+    pyproject = pathlib.Path(qschub.__file__).parents[2] / "pyproject.toml"
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject.read_text())
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted(pathlib.Path(qschub.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_lp_exhaustion_check_raises_a_typed_error(monkeypatch):

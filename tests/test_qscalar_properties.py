@@ -103,10 +103,10 @@ def test_specialize_agrees_with_arithmetic(num, den, b, q0):
 
 @CASES
 @given(scalars(), scalars(nonzero=True), st.integers(-3, 3))
-def test_coefficients_are_ints_or_proper_fractions(a, b, n):
+def test_coefficients_are_ints(a, b, n):
     for s in (a, b, a + b, a - b, a * b, a / b, b.inverse(), b ** n, -a):
         for c in _coefficients(s):
-            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (s, c)
+            assert type(c) is int, (s, c)
 
 
 vectors = st.dictionaries(st.integers(0, 4), scalars(nonzero=True), max_size=4)
@@ -200,12 +200,14 @@ def test_products_and_quotients_match_sympy_cancel(a, b):
     for ours, theirs in ((a * b, (an * bn) / (ad * bd)), (a / b, (an * bd) / (ad * bn))):
         num, den = _sympy_of(ours, q)
         assert sympy.cancel(num / den - theirs) == 0
-        # canonical: den is a monic polynomial with nonzero constant term,
-        # coprime to the numerator
+        # canonical: den is a polynomial with nonzero constant term and
+        # positive leading coefficient, coprime over Z (contents included) to
+        # the numerator shifted to lowest exponent 0
         if ours:
-            assert ours.den[0][0] == 0 and ours.den[-1][1] == 1
+            assert ours.den[0][0] == 0 and ours.den[-1][1] > 0
             shifted = sympy.expand(num * q ** -ours.num[0][0])
-            assert sympy.degree(sympy.gcd(shifted, den), q) == 0
+            assert sympy.gcd(sympy.Poly(shifted, q, domain="ZZ"),
+                             sympy.Poly(den, q, domain="ZZ")).as_expr() == 1
 
 
 def _dense_mul(a, b):
@@ -244,21 +246,16 @@ int_dicts = st.dictionaries(st.integers(0, 3), st.integers(-4, 4), max_size=4).f
     lambda d: any(d.values()))
 
 
-def _monic(d):
-    d = {e: c for e, c in d.items() if c}
-    d[max(d, default=0) + 1] = 1
-    return d
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example({0: 2, 1: 3}, {0: 3}, {0: 1})
+@example({0: 1}, {0: 1, 1: 2}, {0: 2, 2: -4})
 @given(int_dicts, int_dicts, int_dicts)
 def test_an_integral_canonical_form_makes_no_fraction(fraction_origins, num, den, common):
-    # an integer numerator over a monic integer denominator has an integral
+    # any integer numerator over any integer denominator has an integral
     # canonical form, and the gcd over Z[q] reaches it without a Fraction
     num = qscalar._pmul(num, common)
-    den = qscalar._pmul(_monic(den), _monic(common))
+    den = qscalar._pmul(den, common)
     made = []
     origins = fraction_origins(lambda: made.append(Scalar(num, den)))
     assert all(type(c) is int for c in _coefficients(made[0]))
