@@ -40,10 +40,10 @@ def accumulate(out, v, c=None):
         s = out.get(k)
         if s is not None:
             x = s + x
-        if x.is_zero():
-            out.pop(k, None)
-        else:
+        if x.num:
             out[k] = x
+        else:
+            out.pop(k, None)
     return out
 
 

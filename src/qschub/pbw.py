@@ -17,7 +17,21 @@ pivot, may carry negative exponents; localisation at the pivot uses
     a x_p^-1 = sum_t x_p^{-(t+1)} sigma_p(delta_p^t(a)),
 
 the second sum being finite because delta_p is locally nilpotent.
+
+Normal ordering reads per-presentation tables in place of facts it would
+otherwise recompute on every call: the zero monomial, which monomials are
+sliced against; the set of k with a nonempty tail (k, i), so that
+`delta_is_trivial(k)` is one lookup; the unit monomials x_j^power; the
+eigenvalue of sigma_k^power on each monomial it was asked for; delta_k of
+each monomial; and the product of each pair of monomials.  The tables live
+and die with their presentation, so a chain's pivot presentation takes them
+along when it is dropped.  They are exact: every entry is a function of the
+relation table alone, which no method changes, so a lookup returns what a
+fresh computation would; a call that raises stores nothing; and a memoised
+dict is only ever read, never added into.
 """
+
+from operator import add
 
 from .qscalar import ONE, render_scalar, parse_scalar, EngineError
 from .linalg import accumulate, vec_add, vec_scale
@@ -46,7 +60,18 @@ def _min_index(mono):
 
 
 def _merge(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
+
+
+def _add_term(out, mono, x):
+    # accumulate(out, {mono: x}) without the one-entry dict
+    s = out.get(mono)
+    if s is not None:
+        x = s + x
+    if x.num:
+        out[mono] = x
+    else:
+        out.pop(mono, None)
 
 
 class Presentation:
@@ -60,6 +85,10 @@ class Presentation:
         self.qself = list(qself) if qself is not None else [None] * (l + 1)
         self.degs = tuple(tuple(d) for d in degs) if degs is not None else None
         self.pivot = pivot
+        self._zero = (0,) * l
+        self._tail_heads = frozenset(k for k, _ in self.tails)
+        self._unit_memo = {}
+        self._sigma_memo = {}
         self._delta_memo = {}
         self._mono_memo = {}
         if validate:
@@ -75,10 +104,10 @@ class Presentation:
                 if c.is_zero():
                     raise EngineError(f"zero tail coefficient stored at ({k},{j})")
                 lo, hi = _min_index(mono), _top_index(mono)
-                if mono != tuple(0 for _ in mono) and not (j < lo and hi < k):
+                if any(mono) and not (j < lo and hi < k):
                     raise EngineError(
                         f"tail of ({k},{j}) not strictly between: monomial {mono}")
-                if mono == tuple(0 for _ in mono):
+                if not any(mono):
                     raise EngineError(f"constant term in tail of ({k},{j})")
                 if self.degs is not None:
                     if self.degree_of_mono(mono) != _merge(self.degs[j - 1], self.degs[k - 1]):
@@ -87,10 +116,15 @@ class Presentation:
     # -- constructors -------------------------------------------------------
 
     def one(self):
-        return {tuple(0 for _ in range(self.l)): ONE}
+        return {self._zero: ONE}
 
     def unit_mono(self, j, power=1):
-        return tuple(power if i == j - 1 else 0 for i in range(self.l))
+        key = (j, power)
+        mono = self._unit_memo.get(key)
+        if mono is None:
+            mono = tuple(power if i == j - 1 else 0 for i in range(self.l))
+            self._unit_memo[key] = mono
+        return mono
 
     def gen(self, j, power=1, coeff=ONE):
         return {self.unit_mono(j, power): coeff}
@@ -136,20 +170,26 @@ class Presentation:
     # -- sigma / delta --------------------------------------------------------
 
     def sigma_scalar(self, k, mono, power=1):
-        """Eigenvalue of sigma_k^power on a monomial supported below k."""
+        """Eigenvalue of sigma_k^power on a monomial supported below k
+        (memoised)."""
+        key = (k, mono, power)
+        out = self._sigma_memo.get(key)
+        if out is not None:
+            return out
         out = ONE
         for i, n in enumerate(mono):
             if n:
                 if i + 1 >= k:
                     raise EngineError(f"sigma_{k} applied to monomial with x_{i+1}")
                 out = out * self.lam[(k, i + 1)] ** (n * power)
+        self._sigma_memo[key] = out
         return out
 
     def apply_sigma(self, k, e, power=1):
         return {m: self.sigma_scalar(k, m, power) * c for m, c in e.items()}
 
     def delta_is_trivial(self, k):
-        return not any((k, i) in self.tails for i in range(1, k))
+        return k not in self._tail_heads
 
     def delta_mono(self, k, mono):
         """delta_k on a monomial supported strictly below k (memoised)."""
@@ -159,7 +199,7 @@ class Presentation:
         hit = self._delta_memo.get(key)
         if hit is not None:
             return hit
-        if _top_index(mono) == 0:
+        if not any(mono):
             out = {}
         else:
             i = _top_index(mono)
@@ -167,7 +207,7 @@ class Presentation:
                 raise EngineError(f"delta_{k} applied to monomial with x_{i}")
             if mono[i - 1] < 0:
                 raise EngineError(f"delta_{k} applied to a Laurent monomial")
-            rest = tuple(n - 1 if t == i - 1 else n for t, n in enumerate(mono))
+            rest = mono[:i - 1] + (mono[i - 1] - 1,) + mono[i:]
             # delta(x_i m') = lam_{ki} x_i delta(m') + tail_{ki} m'
             out = {}
             inner = self.delta_mono(k, rest)
@@ -227,17 +267,17 @@ class Presentation:
         top2 = _top_index(m2)
         if top2 == 0:
             out = {m1: ONE}
-        elif _top_index(m1) == 0:
+        elif not any(m1):
             out = {m2: ONE}
         else:
-            min1 = _min_index(m1)
-            if min1 >= top2:
+            # m1 m2 is normal when m1 has no variable below x_top2
+            below = top2 - 1
+            if not any(m1[:below]):
                 out = {_merge(m1, m2): ONE}
             else:
-                b = m2[top2 - 1]
-                rest = tuple(0 if i == top2 - 1 else n for i, n in enumerate(m2))
-                pushed = self._push_power({m1: ONE}, top2, b)
-                if _top_index(rest) == 0:
+                rest = m2[:below] + self._zero[below:]
+                pushed = self._push_power({m1: ONE}, top2, m2[below])
+                if not any(rest):
                     out = pushed
                 else:
                     out = self.mul(pushed, {rest: ONE})
@@ -259,36 +299,41 @@ class Presentation:
         return e
 
     def _push_gen(self, e, k):
-        # e * x_k with every monomial of e normal
+        # e * x_k with every monomial m = hi lo of e normal, hi at and above
+        # x_k and lo below it: m x_k = s hi x_k lo - s hi delta_k(lo) with
+        # s = sigma_k^{-1}(lo), and hi x_k lo is m with one more x_k
         out = {}
-        ek = self.unit_mono(k)
+        below = k - 1
         for m, c in e.items():
-            lo = tuple(n if i < k - 1 else 0 for i, n in enumerate(m))
-            if _top_index(lo) == 0:
-                accumulate(out, {_merge(m, ek): ONE}, c)
+            lo = m[:below]
+            mk = lo + (m[below] + 1,) + m[k:]
+            if not any(lo):
+                _add_term(out, mk, c)
                 continue
-            hi = tuple(n if i >= k - 1 else 0 for i, n in enumerate(m))
-            s = self.sigma_scalar(k, lo, -1)
-            accumulate(out, {_merge(_merge(hi, ek), lo): s}, c)
+            lo += self._zero[below:]
+            cs = c * self.sigma_scalar(k, lo, -1)
+            _add_term(out, mk, cs)
             dlo = self.delta_mono(k, lo)
             if dlo:
-                accumulate(out, {_merge(hi, dm): dc for dm, dc in dlo.items()},
-                           -(c * s))
+                hi = self._zero[:below] + m[below:]
+                neg = -cs
+                for dm, dc in dlo.items():
+                    _add_term(out, _merge(hi, dm), neg * dc)
         return out
 
     def _push_geninv(self, e, p):
         # e * x_p^{-1}; pivot powers collect in the pivot slot
         out = {}
+        below = p - 1
         for m, c in e.items():
-            lo = tuple(n if i < p - 1 else 0 for i, n in enumerate(m))
-            hi = tuple(n if i >= p - 1 else 0 for i, n in enumerate(m))
+            lo = m[:below] + self._zero[below:]
+            hi = self._zero[:below] + m[below:]
             cur = {lo: ONE}
             t = 0
             while cur:
                 if t > NILPOTENCY_CAP:
                     raise EngineError(f"delta_{p} not nilpotent within cap (localisation)")
-                shift = tuple(-(t + 1) if i == p - 1 else 0 for i in range(self.l))
-                base = _merge(hi, shift)
+                base = _merge(hi, self.unit_mono(p, -(t + 1)))
                 accumulate(out, {_merge(base, dm): dc
                                  for dm, dc in self.apply_sigma(p, cur).items()}, c)
                 cur = self.apply_delta(p, cur)

@@ -14,7 +14,7 @@ from .weyl import ReducedWord
 __all__ = [
     "successor_table", "is_left_positive", "is_right_positive",
     "enumerate_lp", "lp_index_set",
-    "combinatorial_poset", "BruhatPreconditionError",
+    "combinatorial_poset", "BruhatPreconditionError", "SubsetCapError",
 ]
 
 SUBSET_CAP = 22
@@ -22,6 +22,10 @@ SUBSET_CAP = 22
 
 class BruhatPreconditionError(ValueError):
     pass
+
+
+class SubsetCapError(EngineError):
+    """A word is longer than SUBSET_CAP allows the LP enumeration."""
 
 
 def successor_table(word):
@@ -122,7 +126,9 @@ def enumerate_lp(word):
         return cached
     l = len(word)
     if l > SUBSET_CAP:
-        raise ValueError(f"word length {l} exceeds enumeration cap {SUBSET_CAP}")
+        raise SubsetCapError(
+            f"{word.datum.label} word {','.join(map(str, word.letters))} of length {l} "
+            f"exceeds SUBSET_CAP = {SUBSET_CAP}")
     datum = word.datum
     found = {}
 

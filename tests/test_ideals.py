@@ -394,14 +394,16 @@ def test_weight_keys_and_degrees_are_int_tuples(label, word, weight_of):
             assert idxs == module.weights[k]
 
 
-@pytest.mark.parametrize("label, word", [("A3", (1, 2, 1, 3, 2, 1)), ("B2", (1, 2, 1, 2))],
-                         ids=["A3", "B2"])
-def test_fundamental_weights_alone_give_the_swept_slices(label, word):
+@pytest.mark.parametrize("label, word, bound", [("A3", (1, 2, 1, 3, 2, 1), 6),
+                                                ("B2", (1, 2, 1, 2), 6),
+                                                ("G2", (1, 2, 1, 2, 1, 2), 10)],
+                         ids=["A3", "B2", "G2"])
+def test_fundamental_weights_alone_give_the_swept_slices(label, word, bound):
     # an oracle for the weight sweep, measured and not proved: the closed
     # pairing images of the fundamental weights alone equal the slices that
     # the whole sweep reaches, for every y below w.  The sweep itself does
     # not rely on this.
-    lab = IdealLab(schubert_cell(label, word), 6)
+    lab = IdealLab(schubert_cell(label, word), bound)
     rank = lab.datum.rank
     fundamentals = [tuple(int(t == a) for t in range(rank)) for a in range(rank)]
     for y in _interval(lab):

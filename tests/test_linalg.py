@@ -12,7 +12,7 @@ import pytest
 from qschub.linalg import (
     Echelon, accumulate, invert_matrix, mat_mul, solve_columns, vec_add, vec_scale,
 )
-from qschub.qscalar import ZERO, ONE, Scalar, qpow
+from qschub.qscalar import ZERO, ONE, EngineError, Scalar, qpow
 from qschub.schubert import schubert_cell
 
 
@@ -28,7 +28,8 @@ def test_vec_add_leaves_its_inputs_unchanged():
 
 
 def _memos(pres):
-    return {"mono": pres._mono_memo, "delta": pres._delta_memo}
+    return {"mono": pres._mono_memo, "delta": pres._delta_memo,
+            "sigma": pres._sigma_memo}
 
 
 def test_repeated_products_leave_the_memos_alone():
@@ -43,7 +44,7 @@ def test_repeated_products_leave_the_memos_alone():
         inv = loc.gen(loc.l, -1)
         first = [pres.mul(a, b), pres.mul(b, a), loc.mul(a, inv), loc.mul(inv, b)]
         before = copy.deepcopy([_memos(pres), _memos(loc)])
-        assert before[0]["mono"] and before[0]["delta"]
+        assert before[0]["mono"] and before[0]["delta"] and before[0]["sigma"]
         second = [pres.mul(a, b), pres.mul(b, a), loc.mul(a, inv), loc.mul(inv, b)]
         assert second == first
         assert [_memos(pres), _memos(loc)] == before
@@ -58,6 +59,20 @@ def test_repeated_products_leave_the_memos_alone():
             prod[(9,) * pres.l] = ONE
             assert _memos(pres) == memo
             assert pres.mul(e1, e2) == want
+
+
+def test_a_sigma_call_that_raises_is_not_memoised():
+    # sigma_k is defined below x_k only; the second call must raise again,
+    # not read a partial eigenvalue left in the table by the first.  The
+    # copy of the shared cell presentation has empty tables of its own
+    pres = schubert_cell("A2", (1, 2, 1)).presentation().with_pivot(None)
+    for mono in [(1, 1, 0), (0, 0, 1), (1, 0, 2)]:
+        for _ in range(2):
+            with pytest.raises(EngineError, match="sigma_2 applied to monomial with x_"):
+                pres.sigma_scalar(2, mono, -1)
+        assert not pres._sigma_memo
+    assert pres.sigma_scalar(2, (1, 0, 0), -1) == pres.lam[(2, 1)].inverse()
+    assert pres._sigma_memo == {(2, (1, 0, 0), -1): pres.lam[(2, 1)].inverse()}
 
 
 class LoopEchelon(Echelon):

@@ -229,3 +229,24 @@ def test_a_module_over_the_dimension_cap_fails_only_its_own_check(tmp_path, monk
     with pytest.raises(modules.DimensionCapError, match=r"V\(1, 1\) of A2 has more than "
                                                         r"DIMENSION_CAP = 5"):
         modules.build_module(root_datum("A2"), (1, 1))
+
+
+def test_a_word_over_the_subset_cap_fails_only_its_own_check(tmp_path, monkeypatch):
+    # a word longer than SUBSET_CAP raises a typed EngineError naming the
+    # cap, so the campaign records that check and still writes every result
+    import json
+    from qschub import cli, subwords
+    from qschub.weyl import ReducedWord
+    monkeypatch.setattr(subwords, "SUBSET_CAP", 2)
+    monkeypatch.setattr(subwords, "_LP_CACHE", {})
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("case = A1 : 1 : main1b\ncase = A2 : 1,2,1 : main2\n")
+    out = tmp_path / "cap.json"
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VERIFY
+    results = {r["type"]: r for r in json.loads(out.read_text())["results"]}
+    assert results["A1"]["ok"]
+    assert not results["A2"]["ok"]
+    assert "SUBSET_CAP = 2" in results["A2"]["report"]["error"]
+    with pytest.raises(subwords.SubsetCapError, match=r"A2 word 1,2,1 of length 3 exceeds "
+                                                      r"SUBSET_CAP = 2"):
+        subwords.enumerate_lp(ReducedWord(root_datum("A2"), (1, 2, 1)))

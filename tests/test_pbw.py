@@ -4,7 +4,10 @@ import pytest
 
 from qschub.qscalar import ZERO, ONE, qpow, from_fraction, parse_scalar
 from qschub.linalg import accumulate
+from qschub import pbw
 from qschub.pbw import Presentation, EngineError
+from qschub.schubert import schubert_cell
+from qschub.cauchon import DeletingDerivations
 
 
 def normal_form_word(pres, letters, coeff=ONE):
@@ -188,3 +191,190 @@ def test_tail_shape_validation():
         Presentation(3, lam, {(3, 1): {(1, 0, 0): ONE}})  # support not strictly inside
     with pytest.raises(EngineError):
         Presentation(3, lam, {(2, 1): {(0, 0, 1): ONE}})
+
+
+def _top(mono):
+    return max((i + 1 for i, n in enumerate(mono) if n), default=0)
+
+
+def _bottom(mono):
+    return min((i + 1 for i, n in enumerate(mono) if n), default=0)
+
+
+def _plus(m1, m2):
+    return tuple(a + b for a, b in zip(m1, m2))
+
+
+class LoopPresentation(Presentation):
+    """Reference normal ordering: every monomial is rebuilt slot by slot,
+    every sigma eigenvalue, delta image and monomial product is computed
+    afresh, and every term goes through accumulate; no table, no memo."""
+
+    def unit_mono(self, j, power=1):
+        return tuple(power if i == j - 1 else 0 for i in range(self.l))
+
+    def sigma_scalar(self, k, mono, power=1):
+        out = ONE
+        for i, n in enumerate(mono):
+            if n:
+                if i + 1 >= k:
+                    raise EngineError(f"sigma_{k} applied to monomial with x_{i+1}")
+                out = out * self.lam[(k, i + 1)] ** (n * power)
+        return out
+
+    def delta_is_trivial(self, k):
+        return not any((k, i) in self.tails for i in range(1, k))
+
+    def delta_mono(self, k, mono):
+        if self.delta_is_trivial(k) or _top(mono) == 0:
+            return {}
+        i = _top(mono)
+        if i >= k:
+            raise EngineError(f"delta_{k} applied to monomial with x_{i}")
+        if mono[i - 1] < 0:
+            raise EngineError(f"delta_{k} applied to a Laurent monomial")
+        rest = tuple(n - 1 if t == i - 1 else n for t, n in enumerate(mono))
+        out = {}
+        inner = self.delta_mono(k, rest)
+        if inner:
+            out = self.scale(self.mul(self.gen(i), inner), self.lam[(k, i)])
+        tail = self.tails.get((k, i))
+        if tail:
+            accumulate(out, {_plus(tm, rest): tc for tm, tc in tail.items()})
+        return out
+
+    def _mul_mono(self, m1, m2):
+        top2 = _top(m2)
+        if top2 == 0:
+            return {m1: ONE}
+        if _top(m1) == 0:
+            return {m2: ONE}
+        if _bottom(m1) >= top2:
+            return {_plus(m1, m2): ONE}
+        rest = tuple(0 if i == top2 - 1 else n for i, n in enumerate(m2))
+        pushed = self._push_power({m1: ONE}, top2, m2[top2 - 1])
+        return pushed if _top(rest) == 0 else self.mul(pushed, {rest: ONE})
+
+    def _push_gen(self, e, k):
+        out = {}
+        ek = self.unit_mono(k)
+        for m, c in e.items():
+            lo = tuple(n if i < k - 1 else 0 for i, n in enumerate(m))
+            if _top(lo) == 0:
+                accumulate(out, {_plus(m, ek): ONE}, c)
+                continue
+            hi = tuple(n if i >= k - 1 else 0 for i, n in enumerate(m))
+            s = self.sigma_scalar(k, lo, -1)
+            accumulate(out, {_plus(_plus(hi, ek), lo): s}, c)
+            dlo = self.delta_mono(k, lo)
+            if dlo:
+                accumulate(out, {_plus(hi, dm): dc for dm, dc in dlo.items()}, -(c * s))
+        return out
+
+    def _push_geninv(self, e, p):
+        out = {}
+        for m, c in e.items():
+            lo = tuple(n if i < p - 1 else 0 for i, n in enumerate(m))
+            hi = tuple(n if i >= p - 1 else 0 for i, n in enumerate(m))
+            cur = {lo: ONE}
+            t = 0
+            while cur:
+                shift = tuple(-(t + 1) if i == p - 1 else 0 for i in range(self.l))
+                base = _plus(hi, shift)
+                accumulate(out, {_plus(base, dm): dc
+                                 for dm, dc in self.apply_sigma(p, cur).items()}, c)
+                cur = self.apply_delta(p, cur)
+                t += 1
+        return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def _laurent_element(pres, rng):
+    """Two or three terms with exponents up to 1; the pivot slot, or a slot
+    above it, may carry x_j^-m for m = 1, 2, as gen(j, -m) would."""
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [rng.randint(0, 1) for _ in range(pres.l)]
+        if pres.pivot is not None and rng.random() < 0.5:
+            mono[rng.randint(pres.pivot, pres.l) - 1] = -rng.randint(1, 2)
+        accumulate(out, {tuple(mono): qpow(rng.randint(-2, 2)) + from_fraction(rng.randint(0, 1))})
+    return out
+
+
+_CELLS = [("A2", (1, 2, 1)), ("B2", (1, 2, 1, 2)), ("G2", (1, 2, 1, 2, 1, 2)),
+          ("A3", (1, 2, 1, 3, 2, 1))]
+
+
+@pytest.mark.parametrize("label, word", _CELLS, ids=[c[0] for c in _CELLS])
+def test_kernel_matches_the_loop_reference(label, word):
+    # the tables and slices of the normal-ordering kernel change no product,
+    # delta image or sigma image, and no error, against the loop reference,
+    # on the cell presentation and every pivot presentation of its chain
+    cell = schubert_cell(label, word).presentation()
+    dd = DeletingDerivations(cell)
+    rng = random.Random(f"{label}:loop")
+    for real in [cell] + [dd.pivot_presentation(j) for j in range(1, cell.l + 1)]:
+        ref = LoopPresentation(real.l, real.lam, real.tails, real.qself, real.degs,
+                               pivot=real.pivot, validate=False)
+        for _ in range(12):
+            a, b = _laurent_element(real, rng), _laurent_element(real, rng)
+            assert _outcome(real.mul, a, b) == _outcome(ref.mul, a, b)
+            for k in range(1, real.l + 1):
+                # a itself, which mostly raises, and its part below x_k
+                for e in (a, {m: c for m, c in a.items() if _top(m) < k}):
+                    for power in (1, -1, 2):
+                        assert (_outcome(real.apply_sigma, k, e, power)
+                                == _outcome(ref.apply_sigma, k, e, power))
+                    assert _outcome(real.apply_delta, k, e) == _outcome(ref.apply_delta, k, e)
+
+
+_LAM3 = {(2, 1): qpow(-1), (3, 2): qpow(-1), (3, 1): qpow(1)}
+_PATHS = [
+    # (id, NILPOTENCY_CAP or None, call that must raise, message)
+    ("missing-scalar", None, lambda: Presentation(2, {}, {}),
+     r"missing or zero q-commutation scalar for \(2,1\)"),
+    ("zero-tail-coefficient", None,
+     lambda: Presentation(3, _LAM3, {(3, 1): {(0, 1, 0): ZERO}}),
+     r"zero tail coefficient stored at \(3,1\)"),
+    ("constant-tail", None, lambda: Presentation(3, _LAM3, {(3, 1): {(0, 0, 0): ONE}}),
+     r"constant term in tail of \(3,1\)"),
+    ("inhomogeneous-tail", None,
+     lambda: Presentation(3, _LAM3, {(3, 1): {(0, 1, 0): ONE}},
+                          degs=[(-1, 0), (0, -1), (0, -1)]),
+     r"tail of \(3,1\) not degree-homogeneous"),
+    ("no-grading", None, lambda: Presentation(2, {(2, 1): qpow(-1)}, {}).degree_of_mono((1, 0)),
+     "presentation carries no grading"),
+    ("laurent-delta", None, lambda: a2_chain().with_pivot(2).delta_mono(3, (0, -1, 0)),
+     "delta_3 applied to a Laurent monomial"),
+    ("element-nilpotency-cap", 1, lambda: a2_chain().delta_nilpotency(3, a2_chain().gen(1)),
+     "delta_3 not nilpotent within cap on element"),
+    ("localisation-cap", 0,
+     lambda: a2_chain().with_pivot(3).mul(a2_chain().gen(1), a2_chain().gen(3, -1)),
+     r"delta_3 not nilpotent within cap \(localisation\)"),
+    ("theta-top-variable", None, lambda: a2_chain().theta(a2_chain().gen(3)),
+     "theta needs an element free of the top variable"),
+    ("theta-no-eigenvalue", None,
+     lambda: Presentation(2, {(2, 1): qpow(-1)}, {}).theta({(1, 0): ONE}),
+     "no torus eigenvalue for the top variable"),
+    ("theta-series-cap", 0, lambda: a2_chain().theta(a2_chain().gen(1)),
+     "theta series did not terminate within cap"),
+    ("table-without-gens", None, lambda: Presentation.from_table_text("rel 2 1 : q\n"),
+     "table text lacks a `gens` line"),
+]
+
+
+@pytest.mark.parametrize("cap, call, match", [p[1:] for p in _PATHS],
+                         ids=[p[0] for p in _PATHS])
+def test_engine_error_paths(cap, call, match, monkeypatch):
+    # the raises of pbw.py that no other test reaches; the two nilpotency
+    # caps are lowered, as every delta of a CGL presentation is nilpotent
+    if cap is not None:
+        monkeypatch.setattr(pbw, "NILPOTENCY_CAP", cap)
+    with pytest.raises(EngineError, match=match):
+        call()
