@@ -10,14 +10,18 @@ add nothing to any slice, but never before every fundamental weight has been
 tried (weights fixed by y contribute nothing); the saturation flag records
 whether the rule fired inside the weight budget.
 
-The closure is semi-naive: the slices are closed after every weight, so only
-the span of the rows inserted since, by the weight or by products, is
-multiplied by the generators.  The degrees that received rows wait on a heap
-ordered by height, then degree.  A product lands at a greater height, so a
-popped degree is final for this closure, and its current reduced rows at the
-pivots inserted in this closure are multiplied: most of them are unit rows,
-a single monomial with coefficient 1.  The fully reduced echelon of a span
-is canonical, so the slices do not depend on the order in which rows arrive.
+The closure is one-sided, as two-sided ideals of PBW algebras are computed
+(Bueso, Gomez-Torrecillas and Verschoren, *Algorithmic Methods in
+Non-Commutative Algebra*, 2003): the right closure of a set of generators,
+which holds the rows the weight inserted and every left product of a
+generator that a slice accepted.  The slices are closed after every weight,
+so only the rows inserted since are multiplied on the right.  The degrees
+that received rows wait on a heap ordered by height, then degree.  A
+product lands at a greater height, so a popped degree is final for this
+closure: its current reduced rows at the pivots inserted in this closure
+are multiplied on the right, and its generators on the left.  The fully
+reduced echelon of a span is canonical, so the slices do not depend on the
+order in which rows arrive.
 
 A slice is full when its dimension is the number of PBW monomials of its
 degree: it spans that whole degree, so no insert can change it.  The sweep
@@ -33,16 +37,11 @@ degrees that weight can reach, with their weights and basis indices, in
 `degrees()` order.  For each degree h it keeps the degrees h + beta_m within
 the bound with their monomial counts, so the closure tests a target for
 fullness by comparing two lengths, and for each t the number of x_t-free
-monomials of every degree, which the leading part reads.  For each slice
-row r and generator x_m it keeps whether x_m r is a scalar multiple of
-r x_m, decided once by comparing the two products exactly; when it is, the
-closure adds only r x_m, since the left product would be refused right
-after it.  A unit row's products are the presentation's memoised monomial
-products, so only the decision is kept for it, and its left product is
-formed only when the closure adds it or the decision needs it; a longer
-row keeps its products.  main2-ind plans every y's target
-first, y.s_last in the contraction case and y otherwise, and keeps a target
-slice of the shorter lab until its last use.
+monomials of every degree, which the leading part reads.  It keeps the
+right products r x_m of the slice rows r of two or more terms; a unit row's
+are the presentation's memoised monomial products.  main2-ind plans every
+y's target first, y.s_last in the contraction case and y otherwise, and
+keeps a target slice of the shorter lab until its last use.
 
 Slices are the only ideal representation: membership is row reduction, the
 Cauchon diagram is computed by the leading-part/contraction recursion, and
@@ -100,17 +99,6 @@ class GradedIdealSlices:
                 if len(e)}
 
 
-def _proportional(u, v):
-    """Whether u = mu * v for one scalar mu (mu = 0 when u is zero)."""
-    if not u:
-        return True
-    if u.keys() != v.keys():
-        return False
-    k = next(iter(v))
-    mu = u[k] / v[k]
-    return all(u[k] == mu * x for k, x in v.items())
-
-
 class IdealLab:
     def __init__(self, cell, bound, lambda_budget=12):
         self.cell = cell
@@ -124,8 +112,7 @@ class IdealLab:
         self._phi_cache = {}
         self._shorter = None
         self._weight_table = {}     # lam -> [(h, k, idxs, set(idxs))]
-        self._row_products = {}     # (row items, m) -> generator products
-        self._unit_single = {}      # (mono, m) -> whether x_m mono ~ mono x_m
+        self._row_products = {}     # (row items, m) -> r x_m, rows of 2+ terms
         self._successors = None     # h -> [(m, h + beta_m, monomial count)]
         self._free_counts = {}      # t -> {h: number of x_t-free monomials}
         self._gen_monos = [None] + [self.pres.unit_mono(m)
@@ -269,20 +256,30 @@ class IdealLab:
         return fresh
 
     def _ideal_closure(self, slices, fresh):
-        """Close the slices under left and right generator multiplication.
+        """Close the slices under left and right generator multiplication, as
+        the right closure of a set P of generators.
 
-        Sound because the graded pairing image already is the two-sided ideal,
-        so products of slice elements with generators stay inside it.  The
-        slices were closed before `fresh`, the (degree, pivot) pairs just
-        inserted, and products are bilinear, so only the span of the rows
-        inserted in this run needs multiplying.  The worklist holds degrees
+        The slices spanned V_old, closed on both sides, before `fresh`, the
+        (degree, pivot) pairs just inserted.  P holds the rows at the fresh
+        pivots when the closure starts, and every left product x_m p, p in P,
+        that a slice accepted, as the row stored for it: back-substitution
+        replaces rows and never edits them.  The worklist holds degrees
         ordered by height, then degree.  Every product lands at a greater
-        height, so a popped degree is final for this run: its current reduced
-        rows at the pivots inserted in this run span the inserted rows modulo
-        the part closed before, and only they are multiplied.  No product is
-        formed for a full target slice, which would refuse it, and a left
-        product that is a multiple of the right one is not added after it
-        (see `_generator_products`)."""
+        height, so a popped degree is final for this run: its current
+        reduced rows at the pivots inserted in this run span the inserted
+        rows modulo V_old.  Each of them is multiplied by every x_m on the
+        right, and each p in P of that degree by every x_m on the left.
+
+        Sound: every inserted row is in P or is r x_m, reduced, for r in the
+        span, so the closed span is W = V_old + R(P), where R(P) is the right
+        closure of P.  R(P) and V_old are right-closed, so W is.  Each x_m p
+        was added, or its target slice is full, so it lies in W, and x_m p x^b
+        lies in W x^b, inside W; with x_m V_old inside V_old, x_m W lies in
+        W, and W is two-sided.  Degrees are positive, so each factor of a
+        product within the bound is within it too.  The fully reduced
+        echelon of a span is canonical, so the slices are those of the
+        two-sided closure, row for row.  No product is formed for a full
+        target slice, which would refuse it."""
         successors = self.successors()
         inserted = {}       # degree -> pivots inserted in this run
         heap = []
@@ -293,51 +290,48 @@ class IdealLab:
                 heapq.heappush(heap, (sum(h), h))
             inserted[h].add(piv)
 
+        def rows_at(h, pivs):
+            ech = slices[h]
+            return [row for piv, row in zip(ech.pivots, ech.rows) if piv in pivs]
+
         for h, piv in fresh:
             note(h, piv)
+        gens = {h: rows_at(h, pivs) for h, pivs in inserted.items()}  # h -> P at h
+        mul_mono, gen_monos = self.pres._mul_mono, self._gen_monos
         while heap:
             _, h = heapq.heappop(heap)
-            pivs = inserted.pop(h)
-            ech = slices[h]
-            rows = [row for piv, row in zip(ech.pivots, ech.rows) if piv in pivs]
+            # a unit row's right products are the memoised monomial products
+            rows = [(next(iter(row)) if len(row) == 1 else None, row)
+                    for row in rows_at(h, inserted.pop(h))]
+            left = gens.pop(h, ())
             for m, hh, n_monos in successors[h]:
                 target = slices[hh]
-                for row in rows:
-                    if len(target) == n_monos:
+                gm = gen_monos[m]
+                for mono, row in rows:
+                    if len(target.rows) == n_monos:
                         break
-                    for v in self._generator_products(row, m):
-                        if target.add(v):
-                            note(hh, target.pivots[-1])
+                    if target.add(self._right_product(row, m) if mono is None
+                                  else mul_mono(mono, gm)):
+                        note(hh, target.pivots[-1])
+                for p in left:
+                    if len(target.rows) == n_monos:
+                        break
+                    if target.add(self._left_product(m, p)):
+                        note(hh, target.pivots[-1])
+                        gens.setdefault(hh, []).append(target.rows[-1])
         return slices
 
-    def _generator_products(self, row, m):
-        """(r x_m, x_m r) for a slice row r, or (r x_m,) when x_m r is mu r x_m
-        for one scalar mu: added right after r x_m, it would be refused.
+    def _left_product(self, m, p):
+        """x_m p for a generator p of the closure."""
+        return self.pres.mul(self.pres.gen(m), p)
 
-        Decided once per (row, m) by comparing the two products exactly.  A
-        unit row's products are the presentation's memoised monomial
-        products, so only the decision is kept for it; a longer row keeps
-        its products.  The products are shared: callers only read them."""
-        pres = self.pres
-        if len(row) == 1:
-            (mono, c), = row.items()
-            if c.is_one():
-                gm = self._gen_monos[m]
-                right = pres._mul_mono(mono, gm)
-                single = self._unit_single.get((mono, m))
-                if single:
-                    return (right,)
-                left = pres._mul_mono(gm, mono)
-                if single is None:
-                    single = self._unit_single[(mono, m)] = _proportional(left, right)
-                return (right,) if single else (right, left)
+    def _right_product(self, row, m):
+        """r x_m for a slice row r of two or more terms, memoised per lab.
+        The product is shared: callers only read it."""
         key = (tuple(row.items()), m)
         hit = self._row_products.get(key)
         if hit is None:
-            gen = pres.gen(m)
-            right, left = pres.mul(row, gen), pres.mul(gen, row)
-            hit = (right,) if _proportional(left, right) else (right, left)
-            self._row_products[key] = hit
+            hit = self._row_products[key] = self.pres.mul(row, self.pres.gen(m))
         return hit
 
     def _phi_vectors(self, lam_fw, h):

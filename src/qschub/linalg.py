@@ -7,9 +7,9 @@ inverse is the echelon of [mat | 1].  Pivoting is deterministic: a new row's
 pivot is its least key after reduction.
 
 An `Echelon` keeps its rows fully reduced, so a row is zero at every pivot
-but its own.  A unit row, a single key with coefficient 1, therefore only
-deletes its pivot key from a vector it reduces, and `reduce` does just that,
-with no Scalar arithmetic.
+but its own, where it is 1.  Reducing by a row therefore deletes its pivot
+key with no Scalar arithmetic, and a unit row, a single key with
+coefficient 1, does nothing else.
 """
 
 from .qscalar import ZERO, ONE
@@ -76,16 +76,15 @@ class Echelon:
         row of two or more keys, new ones at that row's other keys."""
         v = dict(v)
         for piv, row in zip(self.pivots, self.rows):
-            c = v.get(piv)
-            if c is None:
+            c = v.pop(piv, None)
+            if c is None or len(row) == 1:
                 continue
-            if len(row) == 1:
-                del v[piv]
-                continue
-            # accumulate(v, row, -c), inlined: the row is zero-free, so a
-            # zero can only come from a cancelling sum
+            # accumulate(v, row, -c) off the pivot, inlined: the row is
+            # zero-free, so a zero can only come from a cancelling sum
             c = -c
             for k, x in row.items():
+                if k == piv:
+                    continue
                 x = c * x
                 s = v.get(k)
                 if s is not None:
@@ -98,7 +97,9 @@ class Echelon:
 
     def add(self, v):
         """Insert v if independent; returns True when the span grew."""
-        r = self.reduce(v)
+        # a single key off every pivot is its own residual
+        single = len(v) == 1 and next(iter(v)) not in self.pivots
+        r = v if single else self.reduce(v)
         if not r:
             return False
         piv = min(r)

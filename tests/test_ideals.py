@@ -303,48 +303,40 @@ def test_full_slice_shortcuts_change_nothing(label, word, bound, ys, weight_of):
         assert lab.cauchon_diagram(got) == ref.cauchon_diagram(want), y
 
 
-def _multiple(u, v):
-    """Whether u = mu * v for some scalar mu, by trying the ratio at one key."""
-    if not u:
-        return True
-    if not v:
-        return False
-    k = next(iter(v))
-    if k not in u:
-        return False
-    mu = u[k] / v[k]
-    return {m: mu * x for m, x in v.items()} == u
+class RightOnlyLab(IdealLab):
+    """A broken closure that never multiplies a generator on the left."""
+
+    def _left_product(self, m, p):
+        return {}
 
 
-@pytest.mark.parametrize("label, word, bound", [
-    ("A3", (1, 2, 1, 3, 2, 1), 5),
-    ("B2", (1, 2, 1, 2), 6),
-], ids=["A3", "B2"])
-def test_generator_products_are_the_products_or_skip_a_multiple(label, word, bound):
-    lab = IdealLab(schubert_cell(label, word), bound)
-    pres = lab.pres
-    # both words have relations with tails, so products need not be monomials
-    assert pres.tails
-    singles = pairs = 0
-    unit_rows = set()
-    for y in _interval(lab):
-        for h, ech in lab.slices(y.reduced_word()).slices.items():
-            for row in ech.rows:
-                unit_rows.add(len(row) == 1)
-                for m in range(1, lab.l + 1):
-                    got = lab._generator_products(row, m)
-                    gen = pres.gen(m)
-                    right, left = pres.mul(row, gen), pres.mul(gen, row)
-                    assert got[0] == right
-                    if len(got) == 1:
-                        singles += 1
-                        assert _multiple(left, right), (y, h, m)
-                    else:
-                        pairs += 1
-                        assert len(got) == 2 and got[1] == left
-                        assert not _multiple(left, right), (y, h, m)
-    # unit rows and longer rows, each product kept or skipped, all occur
-    assert singles and pairs and unit_rows == {True, False}
+def _closed_generator(lab, j):
+    """The slices of the closure of x_j alone, seeded as one fresh row."""
+    slices = {h: Echelon() for h in lab.degrees()}
+    h = tuple(lab.cell.betas[j - 1])
+    slices[h].add(lab.pres.gen(j))
+    return lab._ideal_closure(slices, [(h, slices[h].pivots[-1])])
+
+
+@pytest.mark.parametrize("label, word, rows_x1", [
+    ("A2", (1, 2, 1), (43, 34)),
+    ("B2", (1, 2, 1, 2), (57, 41)),
+    ("A3", (1, 2, 1, 3, 2, 1), (167, 120)),
+], ids=["A2", "B2", "A3"])
+def test_one_generator_closes_to_its_two_sided_ideal(label, word, rows_x1):
+    # the slices of a pairing image are already two-sided, so a closure with
+    # no left products at all gives the same slices there; a single
+    # generator's closure needs them
+    cell = schubert_cell(label, word)
+    lab, ref, broken = IdealLab(cell, 6), FullPassLab(cell, 6), RightOnlyLab(cell, 6)
+    for j in range(1, lab.l + 1):
+        want = _by_pivot(_closed_generator(ref, j))
+        assert _by_pivot(_closed_generator(lab, j)) == want, j
+        if j == 1:
+            right_only = _closed_generator(broken, 1)
+            assert _by_pivot(right_only) != want
+            assert (sum(map(len, want.values())),
+                    sum(map(len, right_only.values()))) == rows_x1
 
 
 @pytest.mark.parametrize("label, word", [("A3", (1, 2, 1, 3, 2, 1)), ("B2", (1, 2, 1, 2))],
@@ -416,43 +408,6 @@ def test_fundamental_weights_alone_give_the_swept_slices(label, word, bound):
             if fresh:
                 lab._ideal_closure(slices, fresh)
         assert _by_pivot(slices) == _by_pivot(swept.slices), y.render()
-
-
-class _HandBuilt:
-    """A presentation whose products are fixed by hand: r x_1 = {a: 1, b: q}
-    and x_1 r = left for every row r."""
-
-    right = {"a": ONE, "b": qpow(1)}
-
-    def __init__(self, left):
-        self.left = left
-
-    def gen(self, m):
-        return {"x": ONE}
-
-    def mul(self, e1, e2):
-        return dict(self.left if "x" in e1 else self.right)
-
-    def _mul_mono(self, m1, m2):
-        return self.left if m1 == "x" else self.right
-
-
-@pytest.mark.parametrize("row", [{"r": ONE}, {"r": ONE, "s": qpow(2)}],
-                         ids=["unit-row", "longer-row"])
-def test_equal_keys_with_unequal_ratios_are_not_proportional(row):
-    def products(left):
-        lab = IdealLab(schubert_cell("A1", (1,)), 2)
-        lab.pres, lab._gen_monos = _HandBuilt(left), [None, "x"]
-        return lab._generator_products(row, 1)
-
-    # the same keys, with ratios 1 at a and q at b: both products are kept
-    assert products({"a": ONE, "b": qpow(2)}) == (_HandBuilt.right,
-                                                  {"a": ONE, "b": qpow(2)})
-    # x_1 r = q^2 (r x_1), and x_1 r = 0: the left product is skipped
-    assert products({"a": qpow(2), "b": qpow(3)}) == (_HandBuilt.right,)
-    assert products({}) == (_HandBuilt.right,)
-    # a key that only one side has
-    assert len(products({"a": ONE})) == len(products({"a": ONE, "c": ONE})) == 2
 
 
 def test_membership_criterion_top_root_vector(a2lab):

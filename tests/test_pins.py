@@ -3,6 +3,7 @@
 Runs the desk config and the seed-0 dd-chain and ideal-slices configs through
 `cli.main` and compares each report's sha256 with `perfbench/pinned.json`, so
 a change that alters report bytes fails here and not only in the benchmark.
+One frontier case, outside the benchmark, is pinned here as well.
 """
 
 import hashlib
@@ -33,3 +34,12 @@ def test_seed_zero_report_matches_its_pin(tmp_path, workload, key):
     out = tmp_path / "r.json"
     assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[key]
+
+
+def test_g2_frontier_report_matches_its_pin(tmp_path):
+    # main2 on G2's longest word at bound 10, the bound it needs; about 2 s
+    out = tmp_path / "r.json"
+    assert main(["verify", "main2", "--type", "G2", "--word", "1,2,1,2,1,2",
+                 "--bound", "10", "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "c9d0ae1fdaa3f6592fabf3a9cd31d7885c7bec0eb01c7952f509d74a5b8bd6c6")
