@@ -3,8 +3,9 @@
 Subcommands: roots, bruhat, lp, minor, dd-run, verify (main1b | main2 |
 main2-ind | poset | gk | normality), campaign.  Exit codes: 0 when every
 requested check passes, 1 on a verification failure, 2 on precondition
-violations such as a non-reduced word, an unsupported type or a bound,
-budget or length cap below 1.
+violations such as a non-reduced word, an unsupported type, a bound, budget
+or length cap below 1, a main2 or poset bound below the floor H_w, or an
+output path in a missing or unwritable directory.
 
 Campaign configs are flat `key = value` text; repeated `case` keys, at least
 one, list the work items as `TYPE : word : checks`, where word is comma-separated letters
@@ -23,7 +24,7 @@ from .subwords import lp_table_json, combinatorial_poset
 from .pbw import Presentation, EngineError
 from .schubert import schubert_cell
 from .cauchon import verify_main1b
-from .ideals import IdealLab, UnsaturatedError
+from .ideals import IdealLab, UnsaturatedError, BoundError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -56,10 +57,15 @@ def _word(label, letters):
 
 
 def _require_output_path(what, path):
-    # an output path must name a file in an existing directory; checked
-    # before any work, so a bad path does not waste a finished run
-    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+    # an output path must name a file in an existing, writable directory;
+    # checked before any work, so a bad path does not waste a finished run
+    if not path:
+        return
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(directory):
         raise PreconditionError(f"{what}: {path!r} is not a file in an existing directory")
+    if not os.access(directory, os.W_OK):
+        raise PreconditionError(f"{what}: {path!r} is in a directory that cannot be written")
 
 
 def _emit(payload, path=None):
@@ -203,8 +209,13 @@ def cmd_verify(args):
         rep, ok = _verify_one(args.kind, args.type, letters, args.bound,
                               args.lambda_budget)
     except UnsaturatedError as exc:
-        print(f"FAIL {args.kind} {args.type} {letters}: {exc}")
+        print(f"FAIL {args.kind} {args.type} {','.join(map(str, letters))}: {exc}")
         return EXIT_VERIFY
+    except BoundError as exc:
+        if args.kind not in ("main2", "poset"):
+            raise
+        # main2 and poset check the bound floor before any slice is built
+        raise PreconditionError(str(exc)) from None
     if args.out:
         _emit(rep, args.out)
     print(f"{'PASS' if ok else 'FAIL'} {args.kind} {args.type} "

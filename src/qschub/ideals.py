@@ -482,7 +482,21 @@ class IdealLab:
             "ok": cd == frozenset(lp),
         }
 
+    def _require_bound_floor(self, check):
+        """Raise BoundError below H_w, the largest height of omega_i - w omega_i
+        over the fundamental weights: main2 and poset were measured never to
+        PASS below it (every w of A2, B2, A3 and G2), so they stop before
+        any slice is built."""
+        r = self.datum.rank
+        floor = max(sum(self.cell.weight_drop(lam)) for lam in default_weight_sweep(r, r))
+        if self.bound < floor:
+            raise BoundError(
+                f"{check} on w = {','.join(map(str, self.cell.letters))} needs bound >= "
+                f"H_w = {floor}, the largest height of omega_i - w omega_i; "
+                f"the bound is {self.bound}")
+
     def verify_main2_all(self):
+        self._require_bound_floor("main2")
         w = self.cell.word.element
         out = {"type": self.datum.label, "word": list(self.cell.letters),
                "bound": self.bound, "cases": [], "ok": True}
@@ -583,6 +597,7 @@ class IdealLab:
 
     def ideal_poset(self):
         """Slice-inclusion matrix over the interval, against Bruhat order."""
+        self._require_bound_floor("poset")
         w = self.cell.word.element
         ys = self.datum.ordered_interval(w)
         labs = {y: self.slices(y.reduced_word()) for y in ys}

@@ -3,9 +3,12 @@
 The presentation of the cell algebra on the root vectors x_j = F_{beta_j}
 has q-commutation scalars lam[(k,j)] = q^{-<beta_j, beta_k>} and straightening
 tails supported strictly between j and k.  The tails are extracted by linear
-algebra from the root-vector operators on a faithful sum of fundamental-weight
-modules (the rank certificate enlarges the module set until the candidate
-monomial operators are independent), never assumed from a closed formula.
+algebra from the root-vector operators on fundamental-weight modules, never
+assumed from a closed formula.  Each pair (k, j) carries its own rank
+certificate: it is solved on the first module of the sweep and takes the next
+one only while its candidate monomial operators stay dependent, so its tail is
+the unique solution on its own module set.  That is the tail, which satisfies
+the equations of every module.
 
 Each cell extends the cell of its prefix, the word without its last letter,
 taken from the cell cache.  The subalgebra on x_1, ..., x_{l-1} is the prefix
@@ -41,7 +44,7 @@ from .modules import build_module, extremal_dual
 
 __all__ = ["SchubertCell", "NormalizationError"]
 
-# the most modules the rank certificate of a cell's tails may sum over
+# the most modules the rank certificate of one pair's tail may sum over
 MODULE_SET_CAP = 8
 
 
@@ -148,26 +151,11 @@ class SchubertCell:
 
     def presentation(self):
         """The CGL presentation: the prefix cell's tails, padded, and the
-        pairs (l, j) solved on a module sum raised until they are
-        rank-certified; index l is CGL-certified here."""
+        pairs (l, j), each rank-certified on its own module set; index l is
+        CGL-certified here."""
         if self._presentation is not None:
             return self._presentation
-        # the fundamental weights, then the sums of two
-        r = self.datum.rank
-        queue = default_weight_sweep(r, r * (r + 3) // 2)
-        mods = [queue.pop(0)]
-        while True:
-            try:
-                tails = self._solve_all_tails(mods)
-                break
-            except _RankDeficient as exc:
-                if not queue or len(mods) >= MODULE_SET_CAP:
-                    k, j = exc.args
-                    raise EngineError(
-                        f"rank certification failed for the word {self.letters}: "
-                        f"pair ({k}, {j}) is still rank-deficient on {len(mods)} "
-                        f"modules (MODULE_SET_CAP = {MODULE_SET_CAP})") from None
-                mods.append(queue.pop(0))
+        tails = self._solve_all_tails()
         lam = {(k, j): self.lam_scalar(k, j)
                for k in range(2, self.l + 1) for j in range(1, k)}
         qself = [None] + [qpow(-self.datum.pairing(b, b)) for b in self.betas]
@@ -176,15 +164,29 @@ class SchubertCell:
         self._presentation = pres
         return pres
 
-    def _solve_all_tails(self, mod_keys):
+    def _solve_all_tails(self):
         """Every tail: the prefix cell's, padded with a zero x_l slot, and
-        the pairs (l, j) solved on the modules mod_keys."""
+        the pairs (l, j).  A pair is solved on the first module of the sweep,
+        the fundamental weights and then the sums of two, and adds the next
+        module, up to MODULE_SET_CAP, only while its solution is not unique;
+        each module's equations are built once and stacked onto the pair's."""
         tails = {} if not self.l else {
             kj: {m + (0,): c for m, c in t.items()}
             for kj, t in self.prefix_cell().presentation().tails.items()}
-        packs = [self.ops(k) for k in mod_keys]
+        r = self.datum.rank
+        sweep = default_weight_sweep(r, min(MODULE_SET_CAP, r * (r + 3) // 2))
         for j in range(1, self.l):
-            tail = self._solve_tail(packs, self.l, j)
+            packs, built = [], []
+            for lam_fw in sweep:
+                packs.append(self.ops(lam_fw))
+                tail = self._solve_tail(packs, self.l, j, built)
+                if tail is not None:
+                    break
+            else:
+                raise EngineError(
+                    f"rank certification failed for the word {self.letters}: "
+                    f"pair ({self.l}, {j}) is still rank-deficient on {len(packs)} "
+                    f"modules (MODULE_SET_CAP = {MODULE_SET_CAP})")
             if tail:
                 tails[(self.l, j)] = tail
         return tails
@@ -195,29 +197,21 @@ class SchubertCell:
         pack = self.ops(tuple(lam_fw))
         out = {}
         for mono, c in element.items():
-            mat, = self._mono_operator([pack], mono)
-            accumulate(out, mat, c)
+            accumulate(out, self._mono_operator(pack, mono), c)
         return out
 
-    def _mono_operator(self, packs, mono):
-        mats = []
-        for pack in packs:
-            out = None
-            for idx in range(self.l, 0, -1):
-                for _ in range(mono[idx - 1]):
-                    m = pack["F"][idx - 1]
-                    out = m if out is None else mat_mul(out, m)
-            if out is None:
-                out = {(t, t): ONE for t in range(pack["module"].dim)}
-            mats.append(out)
-        return mats
+    def _mono_operator(self, pack, mono):
+        out = None
+        for idx in range(self.l, 0, -1):
+            for _ in range(mono[idx - 1]):
+                m = pack["F"][idx - 1]
+                out = m if out is None else mat_mul(out, m)
+        return {(t, t): ONE for t in range(pack["module"].dim)} if out is None else out
 
-    def _flatten(self, mats):
-        out = {}
-        for mi, m in enumerate(mats):
-            for (r, c), v in m.items():
-                out[(mi, r, c)] = v
-        return out
+    @staticmethod
+    def _flatten(mats):
+        """One vector of the matrices mats, keyed (index in mats, row, col)."""
+        return {(mi, r, c): v for mi, m in enumerate(mats) for (r, c), v in m.items()}
 
     def _candidate_monomials(self, k, j):
         target = tuple(a + b for a, b in zip(self.betas[j - 1], self.betas[k - 1]))
@@ -240,28 +234,31 @@ class SchubertCell:
         walk(j + 1, target, [0] * self.l)
         return sorted(out)
 
-    def _solve_tail(self, packs, k, j):
+    def _solve_tail(self, packs, k, j, built=None):
+        """The tail of pair (k, j) solved on the modules of packs, or None
+        when its candidate operators are dependent there.  built holds one
+        (target, candidate operators) pair per module already built; a caller
+        that grows packs by a module and passes the same list builds only
+        that module's equations."""
+        built = [] if built is None else built
         lam = self.lam_scalar(k, j)
-        target = []
-        for pack in packs:
-            mk, mj = pack["F"][k - 1], pack["F"][j - 1]
-            lhs = mat_mul(mk, mj)
-            rhs = mat_mul(mj, mk)
-            target.append({key: v for key, v in
-                           Presentation.add(lhs, rhs, -lam).items()})
-        flat_target = self._flatten(target)
         candidates = self._candidate_monomials(k, j)
+        for pack in packs[len(built):]:
+            mk, mj = pack["F"][k - 1], pack["F"][j - 1]
+            built.append((Presentation.add(mat_mul(mk, mj), mat_mul(mj, mk), -lam),
+                          [self._mono_operator(pack, mono) for mono in candidates]))
+        flat_target = self._flatten([target for target, _ in built])
         if not candidates:
             if flat_target:
                 raise EngineError(
                     f"pair ({k},{j}) has a tail but no admissible monomials")
             return {}
-        cols = [self._flatten(self._mono_operator(packs, mono)) for mono in candidates]
+        cols = [self._flatten(mats) for mats in zip(*(ops for _, ops in built))]
         sol, unique = solve_columns(cols, flat_target)
         if sol is None:
             raise EngineError(f"tail of ({k},{j}) is outside the candidate span")
         if not unique:
-            raise _RankDeficient(k, j)
+            return None
         return {mono: c for mono, c in zip(candidates, sol) if not c.is_zero()}
 
     def _certify_cgl(self, pres):
@@ -380,10 +377,6 @@ class SchubertCell:
         module = self.ops(tuple(lam_fw))["module"]
         xi = extremal_dual(module, tuple(y_letters))
         return self.phi_element(tuple(lam_fw), xi)
-
-
-class _RankDeficient(Exception):
-    """The candidate operators of pair (k, j), its args, are dependent."""
 
 
 _CELL_CACHE = {}

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -157,8 +158,48 @@ def test_campaign_isolates_an_engine_failure(tmp_path, capsys):
 def test_unsaturated_sweep_names_y_budget_and_weights(capsys):
     assert main(["verify", "main2", "--type", "A2", "--word", "1,2,1",
                  "--lambda-budget", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL main2 A2 1,2,1: ")
     assert ("slices of y = e did not saturate within the lambda budget 1; "
-            "weights tried: (1, 0)") in capsys.readouterr().out
+            "weights tried: (1, 0)") in out
+
+
+@pytest.mark.parametrize("kind, label, word, bound, floor", [
+    ("main2", "A2", "1,2,1", "1", 2),
+    ("poset", "B2", "1,2,1,2", "3", 4),
+    ("main2", "G2", "1,2,1,2,1,2", "6", 10),
+])
+def test_verify_below_the_bound_floor_exits_2(capsys, kind, label, word, bound, floor):
+    assert main(["verify", kind, "--type", label, "--word", word, "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {kind} on w = ")
+    assert f"needs bound >= H_w = {floor}" in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [("roots", "--out"), ("dd-run", "--emit"),
+                                           ("lp", "--poset")])
+def test_output_path_in_an_unwritable_directory_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, flag):
+    # the suite may run as root, for whom chmod leaves a directory writable
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main([command, "--type", "A2", "--word", "1,2,1",
+                 flag, str(tmp_path / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ") and "cannot be written" in captured.err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_campaign_out_key_in_an_unwritable_directory_exits_2_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"out = {tmp_path / 'r.json'}\ncase = A1 : 1 : main1b\n")
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out: ") and "cannot be written" in captured.err
 
 
 @pytest.mark.parametrize("line, why", [

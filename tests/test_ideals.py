@@ -13,7 +13,7 @@ from qschub.pbw import EngineError
 from qschub.schubert import schubert_cell
 from qschub.subwords import lp_index_set
 from qschub.ideals import IdealLab, UnsaturatedError, BoundError
-from qschub.weyl import default_weight_sweep
+from qschub.weyl import default_weight_sweep, root_datum
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +447,56 @@ def test_cauchon_bound_error_names_y_t_and_the_bound_needed():
                                          r"of height 2, beyond the bound 1; "
                                          r"it needs bound >= 2$"):
         lab.verify_main2((1,))
+
+
+def _bound_floor(cell):
+    """H_w: the largest height of omega_i - w omega_i over the fundamental
+    weights omega_i."""
+    r = cell.datum.rank
+    return max(sum(cell.weight_drop(tuple(int(t == i) for t in range(r))))
+               for i in range(r))
+
+
+@pytest.mark.parametrize("label, longest_floor", [("A2", 2), ("B2", 4)])
+def test_main2_and_poset_pass_at_the_bound_floor_and_raise_below(label, longest_floor,
+                                                                monkeypatch):
+    datum = root_datum(label)
+    ys = datum.ordered_interval(datum.longest_element())
+    floors = {}
+    for w in ys:
+        cell = schubert_cell(label, w.reduced_word())
+        floors[w] = floor = _bound_floor(cell)
+        if floor:
+            lab = IdealLab(cell, floor)
+            assert lab.verify_main2_all()["ok"] and lab.ideal_poset()["ok"], w.render()
+        if floor >= 2:
+            lab = IdealLab(cell, floor - 1)
+            word = ",".join(map(str, w.reduced_word()))
+            for check, run in [("main2", lab.verify_main2_all), ("poset", lab.ideal_poset)]:
+                with pytest.raises(BoundError, match=rf"^{check} on w = {word} needs bound "
+                                                     rf">= H_w = {floor}, .*the bound is "
+                                                     rf"{floor - 1}$"):
+                    run()
+            assert not lab._slices, "the floor is checked before any slice is built"
+    assert floors[ys[-1]] == longest_floor
+    # the measured relation behind the floor: below it, neither check passes
+    monkeypatch.setattr(IdealLab, "_require_bound_floor", lambda self, check: None)
+    for w, floor in floors.items():
+        if floor >= 2:
+            lab = IdealLab(schubert_cell(label, w.reduced_word()), floor - 1)
+            for run in (lab.verify_main2_all, lab.ideal_poset):
+                try:
+                    assert not run()["ok"], w.render()
+                except EngineError:
+                    pass
+
+
+def test_main2_on_g2_below_the_bound_floor_raises():
+    # G2's longest word has H_w = 10; at bound 6 main2 used to print FAIL
+    lab = IdealLab(schubert_cell("G2", (1, 2, 1, 2, 1, 2)), 6)
+    with pytest.raises(BoundError, match=r"needs bound >= H_w = 10, .*the bound is 6$"):
+        lab.verify_main2_all()
+    assert not lab._slices
 
 
 def test_main2_all_a2(a2lab):

@@ -255,9 +255,17 @@ def test_presentation_independence_b2():
     from qschub.weyl import root_datum
     from qschub.schubert import SchubertCell
     cell = SchubertCell(root_datum("B2"), (1, 2, 1, 2))
-    small = cell._solve_all_tails([(1, 0), (0, 1)])
-    large = cell._solve_all_tails([(1, 0), (0, 1), (1, 1)])
-    assert small == large
+    small = [cell.ops((1, 0)), cell.ops((0, 1))]
+    large = small + [cell.ops((1, 1))]
+    tails = {}
+    for k in range(2, 5):
+        for j in range(1, k):
+            tail = cell._solve_tail(small, k, j)
+            assert tail is not None and tail == cell._solve_tail(large, k, j), (k, j)
+            if tail:
+                tails[(k, j)] = tail
+    assert set(tails) == {(3, 1), (4, 1), (4, 2)}
+    assert tails == cell.presentation().tails
 
 
 def test_g2_presentation_associativity_spot_check():

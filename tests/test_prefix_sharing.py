@@ -14,7 +14,7 @@ from qschub.cli import main
 from qschub.qscalar import ONE, cauchon_factorial, qpow
 from qschub.linalg import accumulate, mat_mul
 from qschub.pbw import Presentation, EngineError
-from qschub.schubert import SchubertCell, schubert_cell, _RankDeficient
+from qschub.schubert import SchubertCell, schubert_cell
 from qschub.weyl import default_weight_sweep
 from qschub.cauchon import DeletingDerivations, verify_main1b
 
@@ -33,18 +33,40 @@ def _tails_from_scratch(cell):
     r = cell.datum.rank
     queue = default_weight_sweep(r, r * (r + 3) // 2)
     mods = [queue.pop(0)]
+    pairs = [(k, j) for k in range(2, cell.l + 1) for j in range(1, k)]
     while True:
         packs = [cell.ops(lam) for lam in mods]
-        try:
-            tails = {}
-            for k in range(2, cell.l + 1):
-                for j in range(1, k):
-                    tail = cell._solve_tail(packs, k, j)
-                    if tail:
-                        tails[(k, j)] = tail
-            return tails
-        except _RankDeficient:
-            mods.append(queue.pop(0))
+        tails = {kj: cell._solve_tail(packs, *kj) for kj in pairs}
+        if None not in tails.values():
+            return {kj: tail for kj, tail in tails.items() if tail}
+        mods.append(queue.pop(0))
+
+
+def test_each_pair_keeps_the_tail_of_the_fewest_modules(empty_cache, monkeypatch):
+    # A3 1,2,1,3,2 is rank-certified on the first module except for the
+    # pair (5, 2), which alone takes the second
+    schubert_cell("A3", (1, 2, 1, 3)).presentation()
+    solves = []
+    solve = schubert.solve_columns
+
+    def counted(cols, target):
+        solves.append(len(cols))
+        return solve(cols, target)
+
+    monkeypatch.setattr(schubert, "solve_columns", counted)
+    cell = schubert_cell("A3", (1, 2, 1, 3, 2))
+    tails = cell.presentation().tails
+    # (5, 1) is solved once, on one module, and (5, 2) on one and then on
+    # two; (5, 3) and (5, 4) have no candidate monomials, so no solve
+    assert len(solves) == 3
+    first = [cell.ops((1, 0, 0))]
+    on_first = {j: cell._solve_tail(first, 5, j) for j in range(1, 5)}
+    assert [j for j, tail in on_first.items() if tail is None] == [2]
+    for j, tail in on_first.items():
+        if tail is not None:
+            assert tails.get((5, j), {}) == tail, j
+    assert tails[(5, 2)] == cell._solve_tail(first + [cell.ops((0, 1, 0))], 5, 2)
+    assert tails == _tails_from_scratch(SchubertCell(cell.datum, cell.letters))
 
 
 @pytest.mark.parametrize("label, letters", LONGEST)

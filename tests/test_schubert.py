@@ -63,18 +63,18 @@ def test_a2_presentation_scalars_and_tails():
 
 
 def test_presentation_independent_of_module_set():
+    # each pair's tail, unique on one module, is the tail on three
     cell = SchubertCell(root_datum("A2"), (1, 2, 1))
-    packs_small = [cell.ops((1, 0))]
-    packs_large = [cell.ops((1, 0)), cell.ops((0, 1)), cell.ops((1, 1))]
-    t_small = None
-    try:
-        t_small = cell._solve_all_tails([(1, 0)])
-    except Exception:
-        pass
-    t_large = cell._solve_all_tails([(1, 0), (0, 1), (1, 1)])
-    if t_small is not None:
-        assert t_small == t_large
-    assert set(t_large) == {(3, 1)}
+    small = [cell.ops((1, 0))]
+    large = [cell.ops((1, 0)), cell.ops((0, 1)), cell.ops((1, 1))]
+    tails = {}
+    for k, j in [(2, 1), (3, 1), (3, 2)]:
+        tail = cell._solve_tail(small, k, j)
+        assert tail is not None and tail == cell._solve_tail(large, k, j), (k, j)
+        if tail:
+            tails[(k, j)] = tail
+    assert set(tails) == {(3, 1)}
+    assert tails == cell.presentation().tails
 
 
 def test_b2_and_g2_presentations_are_cgl():
