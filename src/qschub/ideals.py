@@ -111,7 +111,7 @@ class IdealLab:
         self._degrees = None
         self._phi_cache = {}
         self._shorter = None
-        self._weight_table = {}     # lam -> [(h, k, idxs, set(idxs))]
+        self._weight_table = {}     # lam -> [(h, k, idxs)]
         self._row_products = {}     # (row items, m) -> r x_m, rows of 2+ terms
         self._successors = None     # h -> [(m, h + beta_m, monomial count)]
         self._free_counts = {}      # t -> {h: number of x_t-free monomials}
@@ -205,7 +205,7 @@ class IdealLab:
         return hit
 
     def _weight_degrees(self, lam_fw, module):
-        """[(h, k, idxs, set(idxs))] for the degrees h = mu - w(lam), mu =
+        """[(h, k, idxs)] for the degrees h = mu - w(lam), mu =
         lam - k a weight of V(lam) of depth k with basis indices idxs, in
         `degrees()` order; built once per weight."""
         key = tuple(lam_fw)
@@ -218,8 +218,7 @@ class IdealLab:
             for h in self.degrees():
                 k = depth_at.get(h)
                 if k is not None:
-                    idxs = module.weights[k]
-                    hit.append((h, k, idxs, set(idxs)))
+                    hit.append((h, k, module.weights[k]))
             self._weight_table[key] = hit
         return hit
 
@@ -238,13 +237,11 @@ class IdealLab:
             k = module.wt_of[next(iter(row))]
             dem_by_weight.setdefault(k, []).append(row)
         fresh = []
-        for h, k, idxs, idx_set in self._weight_degrees(lam_fw, module):
+        for h, k, idxs in self._weight_degrees(lam_fw, module):
             ech = slices[h]
             if self._full(ech, h):
                 continue
-            rows = [{i: r[i] for i in r if i in idx_set}
-                    for r in dem_by_weight.get(k, ())]
-            orth = nullspace(rows, idxs)
+            orth = nullspace(dem_by_weight.get(k, []), idxs)
             if not orth:
                 continue
             vectors = self._phi_vectors(lam_fw, h)

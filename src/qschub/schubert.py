@@ -13,30 +13,36 @@ the equations of every module.
 Each cell extends the cell of its prefix, the word without its last letter,
 taken from the cell cache.  The subalgebra on x_1, ..., x_{l-1} is the prefix
 cell's algebra U^-[w'], and beta_1, ..., beta_{l-1} and the braid products
-before each letter depend only on the prefix.  So the operator packs append
-one letter to the prefix cell's packs, and the relation table is the prefix
-cell's, padded with a zero x_l slot, plus the pairs (l, j).  This is exact,
-not an approximation: every tail is the unique solution of its linear
-system, certified by the rank check, and the CGL certificates of the indices
-below l only involve x_1, ..., x_{l-1}.  The prefix cell ran those
-certificates once; this cell runs them for index l.  A lone word thus builds
-its prefixes' cells, the same work as building it from nothing, now kept for
-reuse.
+before each letter depend only on the prefix.  So the operator packs, which
+serve the tail solve alone, append one letter to the prefix cell's packs, and
+the relation table is the prefix cell's, padded with a zero x_l slot, plus
+the pairs (l, j).  This is exact, not an approximation: every tail is the
+unique solution of its linear system, certified by the rank check, and the
+CGL certificates of the indices below l only involve x_1, ..., x_{l-1}.  The
+prefix cell ran those certificates once; this cell runs them for index l.  A
+lone word thus builds its prefixes' cells, the same work as building it from
+nothing, now kept for reuse.
 
 Quantum minors and the more general b-elements are evaluated through the
 graded pairing formula: the coefficient of F_{beta_l}^{m_l}...F_{beta_1}^{m_1}
 is
 
     prod_j (q_{a_j}^{-1} - q_{a_j})^{m_j} / (q_{a_j}^{m_j(m_j-1)/2} [m_j]_{a_j}!)
-      * < xi, (tauE_{beta_1})^{m_1} ... (tauE_{beta_l})^{m_l} T^{-1}_{w^{-1}} v >,
+      * < xi, tau(E_{beta_1})^{m_1} ... tau(E_{beta_l})^{m_l} T^{-1}_{w^{-1}} v >,
 
-with tauE_{beta_j} and F_{beta_j} realised as braid-conjugated single-letter
-operators.  The overall normalisation is pinned by the anchor identity
+with tau(E_{beta_j}) = R_{j-1}^{-1} E_{a_j} R_{j-1} for R_j = T_{a_j} ... T_{a_1},
+and T^{-1}_{w^{-1}} v = R_l^{-1} v.  The braid products telescope, since
+R_{j-1} R_j^{-1} = T_{a_j}^{-1}, so the vector is
+
+    E_{a_1}^{m_1} T_{a_1}^{-1} ... E_{a_l}^{m_l} T_{a_l}^{-1} v,
+
+built from single-letter operators of the module with no pack.  The overall
+normalisation is pinned by the anchor identity
 Delta_l = (q_{a_l}^{-1} - q_{a_l}) x_l, which is asserted, not rescaled.
 """
 
 from .qscalar import ONE, qpow, q_factorial
-from .linalg import accumulate, mat_mul, mat_vec, solve_columns
+from .linalg import mat_mul, mat_vec, solve_columns
 from .weyl import ReducedWord, root_datum, default_weight_sweep
 from .pbw import Presentation, EngineError
 from .cauchon import DeletingDerivations
@@ -113,14 +119,13 @@ class SchubertCell:
     # -- module operator packs -------------------------------------------------
 
     def ops(self, lam_fw):
-        """Cached operators on V(lam): F_{beta_j}, tauE_{beta_j}, u_w.
+        """The cached operator pack on V(lam) that the tail solve reads:
+        the module, the root-vector operators F_{beta_j}, and the braid
+        products "fwd" = T_{a_1} ... T_{a_l} and "bwd", its inverse.
 
-        With a_1 ... a_{j-1} the prefix before letter j, F_{beta_j} is
-        F_{a_j} conjugated by T = T_{a_1} ... T_{a_{j-1}}, and tauE_{beta_j}
-        is E_{a_j} conjugated by T_{a_{j-1}} ... T_{a_1}.  The prefix cell's
-        pack holds both products over its whole word, and their inverses
-        ("fwd", "bwd", "rev", "rev_inv"); this pack appends F_{beta_l} and
-        tauE_{beta_l} to its lists and extends the products by letter l."""
+        F_{beta_j} is F_{a_j} conjugated by T_{a_1} ... T_{a_{j-1}}; this
+        pack appends F_{beta_l} to the prefix cell's list and extends its
+        products by letter l."""
         key = tuple(lam_fw)
         hit = self._ops.get(key)
         if hit is not None:
@@ -128,22 +133,16 @@ class SchubertCell:
         if not self.l:
             module = build_module(self.datum, key)
             one = {(t, t): ONE for t in range(module.dim)}
-            hit = {"module": module, "F": [], "tauE": [],
-                   "fwd": one, "bwd": one, "rev": one, "rev_inv": one}
+            hit = {"module": module, "F": [], "fwd": one, "bwd": one}
         else:
             base = self.prefix_cell().ops(key)
             module = base["module"]
             letter = self.letters[-1]
-            t = module.braid_matrix(letter)
-            t_inv = module.braid_matrix(letter, invert=True)
-            fwd, bwd, rev, rev_inv = base["fwd"], base["bwd"], base["rev"], base["rev_inv"]
+            fwd, bwd = base["fwd"], base["bwd"]
             hit = {"module": module,
                    "F": base["F"] + [mat_mul(mat_mul(fwd, module.F[letter]), bwd)],
-                   "tauE": base["tauE"] + [mat_mul(mat_mul(rev_inv, module.E[letter]), rev)],
-                   "fwd": mat_mul(fwd, t), "bwd": mat_mul(t_inv, bwd),
-                   "rev": mat_mul(t, rev), "rev_inv": mat_mul(rev_inv, t_inv)}
-        # u_w = T^{-1}_{w^{-1}} v_lambda, v_lambda being basis vector 0
-        hit["u_w"] = {r: c for (r, col), c in hit["rev_inv"].items() if not col}
+                   "fwd": mat_mul(fwd, module.braid_matrix(letter)),
+                   "bwd": mat_mul(module.braid_matrix(letter, invert=True), bwd)}
         self._ops[key] = hit
         return hit
 
@@ -190,15 +189,6 @@ class SchubertCell:
             if tail:
                 tails[(self.l, j)] = tail
         return tails
-
-    def element_operator(self, lam_fw, element):
-        """The operator of a PBW element on V(lam): an independent check of
-        engine arithmetic against the faithful module action."""
-        pack = self.ops(tuple(lam_fw))
-        out = {}
-        for mono, c in element.items():
-            accumulate(out, self._mono_operator(pack, mono), c)
-        return out
 
     def _mono_operator(self, pack, mono):
         out = None
@@ -291,9 +281,14 @@ class SchubertCell:
     # -- pairing evaluation ---------------------------------------------------------
 
     def phi_vectors(self, lam_fw, height):
-        """{PBW exponent tuple m: prefactor * (tauE)^m u_w} for all m with
-        sum m_j beta_j = height (a nonnegative root-lattice vector)."""
-        pack = self.ops(lam_fw)
+        """{PBW exponent tuple m: prefactor * tau(E)^m T^{-1}_{w^{-1}} v_lambda}
+        for all m with sum m_j beta_j = height (a nonnegative root-lattice
+        vector).
+
+        The vector is E_{a_1}^{m_1} T_{a_1}^{-1} ... E_{a_l}^{m_l}
+        T_{a_l}^{-1} v_lambda, the telescoped braid conjugations: level j
+        applies T_{a_j}^{-1} once, then takes powers of E_{a_j}."""
+        module = build_module(self.datum, lam_fw)
         out = {}
 
         def walk(j, remaining, mono, vec, coeff):
@@ -301,15 +296,15 @@ class SchubertCell:
                 if not any(remaining):
                     out[tuple(mono)] = {i: coeff * c for i, c in vec.items()}
                 return
-            beta = self.betas[j - 1]
-            m, cur, cc = 0, vec, coeff
+            a, beta = self.letters[j - 1], self.betas[j - 1]
+            m, cur, cc = 0, mat_vec(module.braid_matrix(a, invert=True), vec), coeff
             while True:
                 rem = tuple(r - m * b for r, b in zip(remaining, beta))
                 if any(x < 0 for x in rem):
                     break
                 mono[j - 1] = m
                 walk(j - 1, rem, mono, cur, cc)
-                nxt = mat_vec(pack["tauE"][j - 1], cur)
+                nxt = mat_vec(module.E[a], cur)
                 if not nxt:
                     break
                 m += 1
@@ -318,7 +313,7 @@ class SchubertCell:
             mono[j - 1] = 0
 
         target = tuple(int(x) for x in height)
-        walk(self.l, target, [0] * self.l, dict(pack["u_w"]), ONE)
+        walk(self.l, target, [0] * self.l, module.highest_vector(), ONE)
         return out
 
     def phi_from_dual(self, xi, vectors):
@@ -356,7 +351,7 @@ class SchubertCell:
         hit = self._minors.get(j)
         if hit is None:
             lam_fw = self.fundamental_fw(j)
-            module = self.ops(lam_fw)["module"]
+            module = build_module(self.datum, lam_fw)
             xi = extremal_dual(module, self.letters[:j - 1])
             hit = self.phi_element(lam_fw, xi)
             if not hit:
@@ -374,7 +369,7 @@ class SchubertCell:
 
     def b_element(self, y_letters, lam_fw):
         """b^{lam}_{y, w} = phi_w(e^lam_y e_w^{-lam}) for y given by a reduced word."""
-        module = self.ops(tuple(lam_fw))["module"]
+        module = build_module(self.datum, lam_fw)
         xi = extremal_dual(module, tuple(y_letters))
         return self.phi_element(tuple(lam_fw), xi)
 

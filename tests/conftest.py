@@ -8,7 +8,7 @@ import pytest
 
 from qschub import qscalar
 from qschub.ideals import IdealLab
-from qschub.linalg import mat_mul
+from qschub.linalg import accumulate, mat_mul
 from qschub.modules import root_coords
 from qschub.qscalar import ONE
 
@@ -72,6 +72,44 @@ def _braid_word_matrix(module, letters, invert=False):
 def braid_word_matrix():
     """The braid-word product helper, built letter by letter from scratch."""
     return _braid_word_matrix
+
+
+def _tau_e_reference(module, letters):
+    """The pairing operators by their definition, from whole braid words:
+    ([tau(E_{beta_j}) for j = 1..l], T^{-1}_{w^{-1}} v_lambda), with
+    tau(E_{beta_j}) = R^{-1} E_{a_j} R for R = T_{a_{j-1}} ... T_{a_1}, and
+    the vector the first column of T_{a_1}^{-1} ... T_{a_l}^{-1}."""
+    ops = []
+    for j, a in enumerate(letters, start=1):
+        before = letters[:j - 1][::-1]
+        rev = _braid_word_matrix(module, before)
+        rev_inv = _braid_word_matrix(module, before, invert=True)
+        ops.append(mat_mul(mat_mul(rev_inv, module.E[a]), rev))
+    inv = _braid_word_matrix(module, letters[::-1], invert=True)
+    return ops, {r: c for (r, col), c in inv.items() if not col}
+
+
+@pytest.fixture
+def tau_e_reference():
+    """The braid-conjugated E operators and the extremal vector of a word."""
+    return _tau_e_reference
+
+
+def _element_operator(cell, lam_fw, element):
+    """The operator of a PBW element of cell's presentation on V(lam), from
+    the root-vector operators of the tail solve's pack: an independent check
+    of engine arithmetic against the faithful module action."""
+    pack = cell.ops(tuple(lam_fw))
+    out = {}
+    for mono, c in element.items():
+        accumulate(out, cell._mono_operator(pack, mono), c)
+    return out
+
+
+@pytest.fixture
+def element_operator():
+    """The module operator of a PBW element of a cell."""
+    return _element_operator
 
 
 def _cauchon_coordinates(dd, element):

@@ -380,7 +380,7 @@ def test_weight_keys_and_degrees_are_int_tuples(label, word, weight_of):
         assert drop == tuple(a - b for a, b in zip(lam, w_lam))
         table = lab._weight_degrees(lam_fw, module)
         assert table
-        for h, k, idxs, _ in table:
+        for h, k, idxs in table:
             assert all(type(x) is int for x in h + k), (lam_fw, h, k)
             assert h == tuple(a - b for a, b in zip(weight_of(module, k), w_lam))
             assert idxs == module.weights[k]

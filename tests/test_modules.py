@@ -284,6 +284,21 @@ def test_demazure_reverses_bruhat_order():
                     assert ech[wa].contains(row)
 
 
+@pytest.mark.parametrize("label, lams", [
+    ("A2", [(1, 0), (0, 1), (1, 1)]), ("B2", [(1, 0), (0, 1), (1, 1)]),
+    ("G2", [(1, 0), (0, 1)]), ("A3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
+def test_demazure_echelon_rows_are_weight_homogeneous(label, lams):
+    # reduction and back-substitution combine only rows sharing a key, so
+    # each row stays in the weight space of the F-image it started as; the
+    # ideal sweep splits the rows by weight and reads them whole
+    datum = root_datum(label)
+    for lam in lams:
+        module = build_module(datum, lam)
+        for y in datum.ordered_interval(datum.longest_element()):
+            for row in demazure_echelon(module, y.reduced_word()).rows:
+                assert len({module.wt_of[i] for i in row}) == 1, (lam, y.render())
+
+
 @pytest.mark.parametrize("label,lam", [("B2", (1, 1)), ("G2", (1, 0)), ("A3", (0, 1, 0))])
 def test_weight_arithmetic_makes_no_fraction(label, lam, fraction_origins):
     # a module's construction and braid operators do integer weight

@@ -144,7 +144,6 @@ _NO_CALLER_IN_PACKAGE = {
     "modules.py:built_modules": "lets tests and perfbench see every module built",
     "pbw.py:from_table_text": "inverse of table_text, for round-trip tests",
     "qscalar.py:specialize": "evaluation at a rational q, the property tests' oracle",
-    "schubert.py:element_operator": "engine products against the module action, in tests",
     "subwords.py:is_left_positive": "the definition that enumerate_lp is tested against",
     "subwords.py:is_right_positive": "the mirror definition, tested with the left one",
 }

@@ -5,6 +5,7 @@ built under it, and nothing it corrupts reaches another test.
 """
 
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -80,8 +81,8 @@ def test_extended_table_restricts_to_every_prefix_table(empty_cache, label, lett
 
 
 def test_operators_match_braid_words_from_scratch(empty_cache, braid_word_matrix):
-    # F_{beta_j} = T F_{a_j} T^{-1} with T = T_{a_1} ... T_{a_{j-1}}, and
-    # tauE_{beta_j} = R^{-1} E_{a_j} R with R = T_{a_{j-1}} ... T_{a_1}
+    # F_{beta_j} = T F_{a_j} T^{-1} with T = T_{a_1} ... T_{a_{j-1}}, and the
+    # pack's products over the whole word, which longer words extend
     for label, letters, lam in [("A3", (1, 2, 1, 3, 2, 1), (0, 1, 0)),
                                 ("B2", (1, 2, 1, 2), (1, 1))]:
         pack = schubert_cell(label, letters).ops(lam)
@@ -90,10 +91,32 @@ def test_operators_match_braid_words_from_scratch(empty_cache, braid_word_matrix
             before = letters[:j - 1]
             fwd = braid_word_matrix(module, before)
             bwd = braid_word_matrix(module, before, invert=True)
-            rev = braid_word_matrix(module, before[::-1])
-            rev_inv = braid_word_matrix(module, before[::-1], invert=True)
             assert pack["F"][j - 1] == mat_mul(mat_mul(fwd, module.F[a]), bwd), j
-            assert pack["tauE"][j - 1] == mat_mul(mat_mul(rev_inv, module.E[a]), rev), j
+        assert pack["fwd"] == braid_word_matrix(module, letters)
+        assert pack["bwd"] == braid_word_matrix(module, letters, invert=True)
+
+
+def test_only_the_tail_solve_builds_packs(empty_cache, monkeypatch):
+    # the pairing reads single-letter operators of the module, so in a main2
+    # run only the tail solve asks for a pack (a pack extends its prefix
+    # cell's), and every cached cell holds packs of the tail sweep's weights
+    callers = Counter()
+    ops = SchubertCell.ops
+
+    def recorded(self, lam_fw):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return ops(self, lam_fw)
+
+    monkeypatch.setattr(SchubertCell, "ops", recorded)
+    assert main(["verify", "main2", "--type", "G2", "--word", "1,2,1,2,1,2",
+                 "--bound", "10"]) == 0
+    assert set(callers) == {"_solve_all_tails", "ops"}
+    sweep = set(default_weight_sweep(2, min(schubert.MODULE_SET_CAP, 5)))
+    assert len(schubert._CELL_CACHE) == 7
+    for cell in schubert._CELL_CACHE.values():
+        assert set(cell._ops) <= sweep, cell.letters
+        for pack in cell._ops.values():
+            assert set(pack) == {"module", "F", "fwd", "bwd"}
 
 
 def _series(dd, j):

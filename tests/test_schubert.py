@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
-from qschub.qscalar import ZERO, ONE, qpow
-from qschub.linalg import mat_mul
+from qschub.qscalar import ONE, qpow, q_factorial
+from qschub.linalg import mat_vec
 from qschub.weyl import root_datum
 from qschub.pbw import EngineError
 from qschub.schubert import SchubertCell, schubert_cell
@@ -29,22 +31,77 @@ def test_a2_root_vector_operators():
             assert pack["F"][j], "root vector operators are nonzero"
 
 
-def test_tau_e_operators_shift_weights_up(weight_of):
+def test_tau_e_operators_shift_weights_up():
+    # tauE_{beta_j} raises weights by beta_j, so each pairing vector of
+    # degree h lies in the weight space of depth (lambda - w(lambda)) - h
     cell = schubert_cell("A2", (1, 2, 1))
-    pack = cell.ops((1, 0))
-    module = pack["module"]
-    for j in range(1, 4):
-        beta = cell.betas[j - 1]
-        for (row, col), c in pack["tauE"][j - 1].items():
-            diff = tuple(a - b for a, b in zip(weight_of(module, module.wt_of[row]),
-                                               weight_of(module, module.wt_of[col])))
-            assert diff == beta
+    module = build_module(cell.datum, (1, 0))
+    drop = cell.weight_drop((1, 0))
+    seen = 0
+    for h in product(*(range(x + 1) for x in drop)):
+        depth = tuple(a - b for a, b in zip(drop, h))
+        for vec in cell.phi_vectors((1, 0), h).values():
+            assert vec and {module.wt_of[i] for i in vec} == {depth}, h
+            seen += 1
+    assert seen
 
 
 def test_tau_e_base_case_is_plain_e():
+    # level 1 takes no braid conjugation: the x_1 power of degree beta_1
+    # pairs with E_{a_1} applied to the extremal vector T^{-1}_{w^{-1}} v
     cell = schubert_cell("A2", (2, 1))
-    pack = cell.ops((0, 1))
-    assert pack["tauE"][0] == pack["module"].E[2]
+    module = build_module(cell.datum, (0, 1))
+    want = mat_vec(module.E[2], module.tminus_winv_vector(cell.letters))
+    vectors = cell.phi_vectors((0, 1), cell.betas[0])
+    assert vectors[(1, 0)] == {i: cell.pair_prefactor(1, 1) * c for i, c in want.items()}
+
+
+PAIRING_HEIGHT = 8
+
+
+@pytest.mark.parametrize("label, letters, lam", [
+    ("A3", (1, 2, 1, 3, 2, 1), (0, 1, 0)), ("A3", (1, 2, 1, 3, 2, 1), (1, 0, 1)),
+    ("B2", (1, 2, 1, 2), (1, 1)), ("G2", (1, 2, 1, 2, 1, 2), (1, 0))])
+def test_phi_vectors_match_the_conjugated_product(label, letters, lam, tau_e_reference):
+    # phi_vectors telescopes the braid conjugations; against the definition,
+    # prefactor * tauE_{beta_1}^{m_1} ... tauE_{beta_l}^{m_l} T^{-1}_{w^{-1}} v
+    # with each tauE_{beta_j} built from whole braid words, at every degree
+    # of height up to PAIRING_HEIGHT, which passes each case's top degree
+    # lambda - w(lambda)
+    cell = schubert_cell(label, letters)
+    tau_e, u_w = tau_e_reference(build_module(cell.datum, lam), letters)
+
+    def prefactor(j, m):
+        d = cell.d_of[j - 1]
+        return (qpow(-d) - qpow(d)) ** m * qpow(-d * (m * (m - 1) // 2)) / q_factorial(m, d)
+
+    def conjugated(h):
+        out = {}
+
+        def walk(j, remaining, mono, vec, coeff):
+            if j == 0:
+                if not any(remaining):
+                    out[tuple(mono)] = {i: coeff * c for i, c in vec.items()}
+                return
+            beta, m = cell.betas[j - 1], 0
+            while vec and all(r >= m * b for r, b in zip(remaining, beta)):
+                mono[j - 1] = m
+                walk(j - 1, tuple(r - m * b for r, b in zip(remaining, beta)), mono,
+                     vec, coeff * prefactor(j, m))
+                vec, m = mat_vec(tau_e[j - 1], vec), m + 1
+            mono[j - 1] = 0
+
+        walk(cell.l, h, [0] * cell.l, u_w, ONE)
+        return out
+
+    assert sum(cell.weight_drop(lam)) < PAIRING_HEIGHT
+    nonzero = 0
+    for h in product(range(PAIRING_HEIGHT + 1), repeat=cell.datum.rank):
+        if sum(h) <= PAIRING_HEIGHT:
+            want = conjugated(h)
+            assert cell.phi_vectors(lam, h) == want, h
+            nonzero += len(want)
+    assert nonzero
 
 
 def test_a2_presentation_scalars_and_tails():
