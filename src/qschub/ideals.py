@@ -60,7 +60,7 @@ import heapq
 from .qscalar import ONE, qpow
 from .linalg import Echelon, accumulate, nullspace
 from .pbw import EngineError
-from .modules import build_module, demazure_echelon, DualFunctional, root_coords
+from .modules import build_module, demazure_echelon, root_coords
 from .subwords import lp_index_set
 from .weyl import default_weight_sweep
 
@@ -245,8 +245,7 @@ class IdealLab:
             if not orth:
                 continue
             vectors = self._phi_vectors(lam_fw, h)
-            for xi_row in orth:
-                xi = DualFunctional(module, xi_row)
+            for xi in orth:
                 el = cell.phi_from_dual(xi, vectors)
                 if el and ech.add(el):
                     fresh.append((h, ech.pivots[-1]))

@@ -1,10 +1,14 @@
 """Sparse exact linear algebra over Q(q).
 
-Vectors are dicts {column_key: Scalar} with zero entries absent.  Column keys
-are any sortable hashables (ints, tuples).  Every elimination is an
-`Echelon`: a linear solve is the echelon of its transposed system, and an
-inverse is the echelon of [mat | 1].  Pivoting is deterministic: a new row's
-pivot is its least key after reduction.
+Vectors are dicts {key: Scalar} with zero entries absent.  Keys are any
+sortable hashables (ints, tuples).  A matrix is a dict {column: vector} of
+its nonzero columns, so it holds no zero entry and no empty column; a row
+functional is a plain vector.  Every matrix product is `accumulate` over the
+columns that a vector's keys name.
+
+Every elimination is an `Echelon`: a linear solve is the echelon of its
+transposed system, and an inverse is the echelon of [mat^T | 1].  Pivoting
+is deterministic: a new row's pivot is its least key after reduction.
 
 An `Echelon` keeps its rows fully reduced, so a row is zero at every pivot
 but its own, where it is 1.  Reducing by a row therefore deletes its pivot
@@ -191,51 +195,31 @@ def nullspace(rows, columns):
 
 
 def mat_vec(mat, v):
-    """mat: dict {(r, c): Scalar}; v: dict {c: Scalar}."""
+    """mat * v: the sum of v[c] * mat[c] over the keys c of v."""
     out = {}
-    for (r, c), a in mat.items():
-        x = v.get(c)
-        if x is None:
-            continue
-        s = out.get(r)
-        t = a * x
-        s = t if s is None else s + t
-        if s.is_zero():
-            out.pop(r, None)
-        else:
-            out[r] = s
+    for c, x in v.items():
+        col = mat.get(c)
+        if col is not None:
+            accumulate(out, col, x)
     return out
 
 
 def mat_mul(m1, m2):
-    cols2 = {}
-    for (r, c), a in m2.items():
-        cols2.setdefault(c, {})[r] = a
+    """m1 * m2, one column of m2 at a time; columns that vanish are left out."""
     out = {}
-    by_col1 = {}
-    for (r, c), a in m1.items():
-        by_col1.setdefault(c, {})[r] = a
-    for c2, col in cols2.items():
-        acc = {}
-        for mid, x in col.items():
-            row = by_col1.get(mid)
-            if row:
-                accumulate(acc, row, x)
-        for r, s in acc.items():
-            out[(r, c2)] = s
+    for c, col in m2.items():
+        v = mat_vec(m1, col)
+        if v:
+            out[c] = v
     return out
 
 
 def invert_matrix(mat, size):
-    """Exact inverse of a size x size matrix given as {(r, c): Scalar}: the
-    fully reduced echelon of [mat | 1] is [1 | mat^-1]."""
-    rows = [{size + r: ONE} for r in range(size)]
-    for (r, c), a in mat.items():
-        if not a.is_zero():
-            rows[r][c] = a
+    """Exact inverse of a size x size matrix: the fully reduced echelon of
+    [mat^T | 1] is [1 | (mat^-1)^T], whose rows are the columns of mat^-1."""
     ech = Echelon()
-    ech.extend(rows)
+    ech.extend({**mat.get(c, {}), size + c: ONE} for c in range(size))
     if sorted(ech.pivots) != list(range(size)):
         raise ZeroDivisionError("singular matrix")
-    return {(piv, c - size): x for piv, row in zip(ech.pivots, ech.rows)
-            for c, x in row.items() if c >= size}
+    return {piv: {k - size: x for k, x in row.items() if k >= size}
+            for piv, row in zip(ech.pivots, ech.rows)}

@@ -16,7 +16,8 @@ pairing <mu, alpha_i^vee> that the form and the braid operators read is the
 integer lambda_i - sum_j cartan[i][j] k_j, lambda_i the fundamental-weight
 coefficient of lambda.  Each level's candidate depths are processed in
 descending order, which is the ascending order of their weights.  Operators
-are sparse matrices {(row, col): Scalar}; vectors are {index: Scalar}.
+are sparse matrices {col: {row: Scalar}}, dicts of their nonzero columns;
+vectors, and row functionals, are {index: Scalar}.
 
 weight_multiplicities implements Freudenthal's recursion independently of the
 module construction and serves as the dimension oracle.
@@ -28,8 +29,7 @@ from .qscalar import ZERO, ONE, qpow, q_bracket, q_factorial
 from .linalg import accumulate, mat_vec, invert_matrix, solve_columns, Echelon
 from .pbw import EngineError
 
-__all__ = ["WeightModule", "build_module", "weight_multiplicities", "DualFunctional",
-           "DimensionCapError"]
+__all__ = ["WeightModule", "build_module", "weight_multiplicities", "DimensionCapError"]
 
 DIMENSION_CAP = 400
 
@@ -114,7 +114,7 @@ class WeightModule:
         self.wt_of = []            # global index -> depth
         self.F = {i: {} for i in range(1, datum.rank + 1)}
         self.E = {i: {} for i in range(1, datum.rank + 1)}
-        self.gram = {}             # depth -> {(r_loc, c_loc): Scalar}
+        self.gram = {}             # depth -> {c_loc: {r_loc: Scalar}}
         self._braid = {}
         self._braid_inv = {}
         r = datum.rank
@@ -128,7 +128,7 @@ class WeightModule:
         top = (0,) * self.datum.rank
         self.weights[top] = [0]
         self.wt_of.append(top)
-        self.gram[top] = {(0, 0): ONE}
+        self.gram[top] = {0: {0: ONE}}
         level = [top]
         while level:
             candidates = sorted({_vadd(nu, alpha)
@@ -165,23 +165,21 @@ class WeightModule:
         idxs = [base + t for t in range(len(kept))]
         self.weights[nu] = idxs
         self.wt_of.extend([nu] * len(kept))
-        self.gram[nu] = {(a, b): G[(kept[a], kept[b])]
-                         for a in range(len(kept)) for b in range(len(kept))
-                         if not G[(kept[a], kept[b])].is_zero()}
+        self.gram[nu] = {b: {a: G[(sa, sb)] for a, sa in enumerate(kept)
+                             if not G[(sa, sb)].is_zero()}
+                         for b, sb in enumerate(kept)}
         # F matrices into nu: spanning s corresponds to F_i(parent)
         for s, (i, loc, up) in enumerate(spanning):
-            col = self.weights[up][loc]
-            for t, c in coords[s].items():
-                if not c.is_zero():
-                    self.F[i][(idxs[t], col)] = c
+            col = {idxs[t]: c for t, c in coords[s].items() if not c.is_zero()}
+            if col:
+                self.F[i][self.weights[up][loc]] = col
         # E matrices out of nu on the kept vectors
         for t, s in enumerate(kept):
             i, loc, up = spanning[s]
             for a in range(1, datum.rank + 1):
-                vec = self._e_on_spanning(a, i, loc, up, nu)
-                for row, c in vec.items():
-                    if not c.is_zero():
-                        self.E[a][(row, idxs[t])] = c
+                col = self._e_on_spanning(a, i, loc, up)
+                if col:
+                    self.E[a][idxs[t]] = col
         return True
 
     def _spanning_gram(self, nu, spanning):
@@ -195,25 +193,19 @@ class WeightModule:
                     continue
                 ib = self.weights[upb][locb]
                 # <F_i a, F_j b> = <E_j a, E_i b> + delta_ij [<wt b, ai^vee>] <a, b>
-                val = ZERO
-                ea = self._column(self.E[j], ia)
-                eb = self._column(self.E[i], ib)
-                val = val + self._pair_vectors(ea, eb)
+                val = self._pair_vectors(self.E[j].get(ia, {}), self.E[i].get(ib, {}))
                 if i == j:
                     bracket = q_bracket(self._coroot(upb, i), datum.d[i - 1])
                     val = val + bracket * self._pair_global(ia, ib)
                 G[(sa, sb)] = val
         return G
 
-    def _column(self, mat, col):
-        return {r: c for (r, cc), c in mat.items() if cc == col}
-
     def _pair_global(self, ia, ib):
         wa, wb = self.wt_of[ia], self.wt_of[ib]
         if wa != wb:
             return ZERO
         loc = self.weights[wa]
-        return self.gram[wa].get((loc.index(ia), loc.index(ib)), ZERO)
+        return self.gram[wa][loc.index(ib)].get(loc.index(ia), ZERO)
 
     def _pair_vectors(self, u, v):
         out = ZERO
@@ -247,16 +239,12 @@ class WeightModule:
             coords.append(dict(enumerate(sol)))
         return kept, coords
 
-    def _e_on_spanning(self, a, i, loc, up, nu):
+    def _e_on_spanning(self, a, i, loc, up):
         # E_a (F_i b) = F_i (E_a b) + delta_ai [<wt b, a^vee>] b, b the parent
-        datum = self.datum
         col = self.weights[up][loc]
-        eb = self._column(self.E[a], col)
-        out = {}
-        for mid, c in eb.items():
-            accumulate(out, self._column(self.F[i], mid), c)
+        out = mat_vec(self.F[i], self.E[a].get(col, {}))
         if a == i:
-            accumulate(out, {col: q_bracket(self._coroot(up, a), datum.d[a - 1])})
+            accumulate(out, {col: q_bracket(self._coroot(up, a), self.datum.d[a - 1])})
         return out
 
     # -- basic structure ----------------------------------------------------
@@ -315,8 +303,7 @@ class WeightModule:
                                         * q_factorial(n, d)))
                             accumulate(out, w, coeff)
                     l += 1
-            for row, c in out.items():
-                mat[(row, col)] = c
+            mat[col] = out
         self._braid[i] = mat
         return mat
 
@@ -332,26 +319,6 @@ class WeightModule:
         for i in reversed(letters):
             v = mat_vec(self.braid_matrix(i, invert=True), v)
         return v
-
-
-class DualFunctional:
-    """A row functional against the fixed weight basis of a module."""
-
-    def __init__(self, module, row):
-        self.module = module
-        self.row = {i: c for i, c in row.items() if not c.is_zero()}
-
-    def pair(self, vec):
-        out = ZERO
-        for i, c in self.row.items():
-            x = vec.get(i)
-            if x is not None:
-                out = out + c * x
-        return out
-
-    def weight_support(self):
-        """The depths lambda - mu of the weights mu the row is supported on."""
-        return {self.module.wt_of[i] for i in self.row}
 
 
 _MODULE_CACHE = {}
@@ -375,10 +342,10 @@ def built_modules():
 
 
 def extremal_dual(module, letters):
-    """xi_{w,lambda}: supported on the weight line w(lambda), pairing 1
-    against T^{-1}_{w^{-1}} v_lambda."""
+    """xi_{w,lambda} as a row vector {index: Scalar}: supported on the weight
+    line w(lambda), pairing 1 against T^{-1}_{w^{-1}} v_lambda."""
     (idx, c), = module.tminus_winv_vector(letters).items()
-    return DualFunctional(module, {idx: c.inverse()})
+    return {idx: c.inverse()}
 
 
 def demazure_echelon(module, letters):

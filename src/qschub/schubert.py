@@ -41,8 +41,8 @@ normalisation is pinned by the anchor identity
 Delta_l = (q_{a_l}^{-1} - q_{a_l}) x_l, which is asserted, not rescaled.
 """
 
-from .qscalar import ONE, qpow, q_factorial
-from .linalg import mat_mul, mat_vec, solve_columns
+from .qscalar import ZERO, ONE, qpow, q_factorial
+from .linalg import mat_mul, mat_vec, solve_columns, vec_add
 from .weyl import ReducedWord, root_datum, default_weight_sweep
 from .pbw import Presentation, EngineError
 from .cauchon import DeletingDerivations
@@ -132,7 +132,7 @@ class SchubertCell:
             return hit
         if not self.l:
             module = build_module(self.datum, key)
-            one = {(t, t): ONE for t in range(module.dim)}
+            one = {t: {t: ONE} for t in range(module.dim)}
             hit = {"module": module, "F": [], "fwd": one, "bwd": one}
         else:
             base = self.prefix_cell().ops(key)
@@ -196,12 +196,13 @@ class SchubertCell:
             for _ in range(mono[idx - 1]):
                 m = pack["F"][idx - 1]
                 out = m if out is None else mat_mul(out, m)
-        return {(t, t): ONE for t in range(pack["module"].dim)} if out is None else out
+        return {t: {t: ONE} for t in range(pack["module"].dim)} if out is None else out
 
     @staticmethod
     def _flatten(mats):
         """One vector of the matrices mats, keyed (index in mats, row, col)."""
-        return {(mi, r, c): v for mi, m in enumerate(mats) for (r, c), v in m.items()}
+        return {(mi, r, c): v for mi, m in enumerate(mats)
+                for c, col in m.items() for r, v in col.items()}
 
     def _candidate_monomials(self, k, j):
         target = tuple(a + b for a, b in zip(self.betas[j - 1], self.betas[k - 1]))
@@ -227,23 +228,24 @@ class SchubertCell:
     def _solve_tail(self, packs, k, j, built=None):
         """The tail of pair (k, j) solved on the modules of packs, or None
         when its candidate operators are dependent there.  built holds one
-        (target, candidate operators) pair per module already built; a caller
-        that grows packs by a module and passes the same list builds only
-        that module's equations."""
+        (F_k F_j, F_j F_k, candidate operators) triple per module already
+        built; a caller that grows packs by a module and passes the same list
+        builds only that module's equations."""
         built = [] if built is None else built
-        lam = self.lam_scalar(k, j)
         candidates = self._candidate_monomials(k, j)
         for pack in packs[len(built):]:
             mk, mj = pack["F"][k - 1], pack["F"][j - 1]
-            built.append((Presentation.add(mat_mul(mk, mj), mat_mul(mj, mk), -lam),
+            built.append((mat_mul(mk, mj), mat_mul(mj, mk),
                           [self._mono_operator(pack, mono) for mono in candidates]))
-        flat_target = self._flatten([target for target, _ in built])
+        kj, jk, ops = zip(*built)
+        # the target F_k F_j - lam F_j F_k
+        flat_target = vec_add(self._flatten(kj), self._flatten(jk), -self.lam_scalar(k, j))
         if not candidates:
             if flat_target:
                 raise EngineError(
                     f"pair ({k},{j}) has a tail but no admissible monomials")
             return {}
-        cols = [self._flatten(mats) for mats in zip(*(ops for _, ops in built))]
+        cols = [self._flatten(mats) for mats in zip(*ops)]
         sol, unique = solve_columns(cols, flat_target)
         if sol is None:
             raise EngineError(f"tail of ({k},{j}) is outside the candidate span")
@@ -317,16 +319,24 @@ class SchubertCell:
         return out
 
     def phi_from_dual(self, xi, vectors):
+        """{m: <xi, vectors[m]>} over the m that pair to nonzero, for the row
+        vector xi {basis index: Scalar}."""
         out = {}
         for mono, vec in vectors.items():
-            c = xi.pair(vec)
+            c = ZERO
+            for i, x in xi.items():
+                y = vec.get(i)
+                if y is not None:
+                    c = c + x * y
             if not c.is_zero():
                 out[mono] = c
         return out
 
     def phi_element(self, lam_fw, xi):
-        """phi_w(c_xi e_w^{-lam}) as a PBW element (zero if xi pairs to zero)."""
-        support = xi.weight_support()
+        """phi_w(c_xi e_w^{-lam}) as a PBW element (zero if xi pairs to zero),
+        xi a row vector {basis index: Scalar} of V(lam)."""
+        wt_of = build_module(self.datum, lam_fw).wt_of
+        support = {wt_of[i] for i in xi}
         if not support:
             return {}
         if len(support) != 1:

@@ -64,7 +64,7 @@ def _braid_word_matrix(module, letters, invert=False):
         else:
             out = mat_mul(out, m)
     if out is None:
-        out = {(t, t): ONE for t in range(module.dim)}
+        out = {t: {t: ONE} for t in range(module.dim)}
     return out
 
 
@@ -78,7 +78,7 @@ def _tau_e_reference(module, letters):
     """The pairing operators by their definition, from whole braid words:
     ([tau(E_{beta_j}) for j = 1..l], T^{-1}_{w^{-1}} v_lambda), with
     tau(E_{beta_j}) = R^{-1} E_{a_j} R for R = T_{a_{j-1}} ... T_{a_1}, and
-    the vector the first column of T_{a_1}^{-1} ... T_{a_l}^{-1}."""
+    the vector column 0 of T_{a_1}^{-1} ... T_{a_l}^{-1}."""
     ops = []
     for j, a in enumerate(letters, start=1):
         before = letters[:j - 1][::-1]
@@ -86,7 +86,7 @@ def _tau_e_reference(module, letters):
         rev_inv = _braid_word_matrix(module, before, invert=True)
         ops.append(mat_mul(mat_mul(rev_inv, module.E[a]), rev))
     inv = _braid_word_matrix(module, letters[::-1], invert=True)
-    return ops, {r: c for (r, col), c in inv.items() if not col}
+    return ops, inv[0]
 
 
 @pytest.fixture
@@ -102,8 +102,9 @@ def _element_operator(cell, lam_fw, element):
     pack = cell.ops(tuple(lam_fw))
     out = {}
     for mono, c in element.items():
-        accumulate(out, cell._mono_operator(pack, mono), c)
-    return out
+        for col, vec in cell._mono_operator(pack, mono).items():
+            accumulate(out.setdefault(col, {}), vec, c)
+    return {col: vec for col, vec in out.items() if vec}
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 
 from qschub.qscalar import ONE, qpow
 from qschub.linalg import Echelon, accumulate, nullspace
-from qschub.modules import build_module, demazure_echelon, DualFunctional, root_coords
+from qschub.modules import build_module, demazure_echelon, root_coords
 from qschub.pbw import EngineError
 from qschub.schubert import schubert_cell
 from qschub.subwords import lp_index_set
@@ -159,8 +159,7 @@ class NoShortcutLab(IdealLab):
             if not orth:
                 continue
             vectors = self._phi_vectors(lam_fw, h)
-            for xi_row in orth:
-                xi = DualFunctional(module, xi_row)
+            for xi in orth:
                 el = cell.phi_from_dual(xi, vectors)
                 if el and slices[h].add(el):
                     fresh.append((h, slices[h].rows[-1]))

@@ -1,16 +1,18 @@
 """The sparse accumulate helper: copies stay copies, memoised dicts stay
 intact; the echelon's unit-row shortcuts, and its handling of explicit zero
-entries, against the plain elimination, and the echelon-based solve and
-inverse against list-based Gauss-Jordan loops."""
+entries, against the plain elimination; the echelon-based solve and inverse
+against list-based Gauss-Jordan loops, the nullspace against its defining
+properties, and the column-wise matrix products against dense loops."""
 
 import copy
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
 from qschub.linalg import (
-    Echelon, accumulate, invert_matrix, mat_mul, solve_columns, vec_add, vec_scale,
+    Echelon, accumulate, invert_matrix, mat_mul, mat_vec, nullspace, solve_columns,
+    vec_add, vec_scale,
 )
 from qschub.qscalar import ZERO, ONE, EngineError, Scalar, qpow
 from qschub.schubert import schubert_cell
@@ -222,12 +224,13 @@ def loop_solve_columns(columns, target):
 
 
 def loop_invert_matrix(mat, size):
-    """Exact inverse of a size x size matrix given as {(r, c): Scalar}."""
+    """Exact inverse of a size x size matrix given as {col: {row: Scalar}}."""
     rows = [[ZERO] * size + [ZERO] * size for _ in range(size)]
     for i in range(size):
         rows[i][size + i] = ONE
-    for (r, c), a in mat.items():
-        rows[r][c] = a
+    for c, col in mat.items():
+        for r, a in col.items():
+            rows[r][c] = a
     for j in range(size):
         p = None
         for i in range(j, size):
@@ -248,7 +251,7 @@ def loop_invert_matrix(mat, size):
         for c in range(size):
             v = rows[r][size + c]
             if not v.is_zero():
-                out[(r, c)] = v
+                out.setdefault(c, {})[r] = v
     return out
 
 
@@ -295,7 +298,12 @@ def test_solve_columns_matches_the_loop_reference(system):
 
 
 def _mat(rows):
-    return {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
+    """The matrix with the given rows, as {col: {row: Scalar}}."""
+    out = {}
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out.setdefault(c, {})[r] = x
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,9 +320,96 @@ def test_invert_matrix_matches_the_loop_reference(square):
             invert_matrix(mat, size)
         return
     got = invert_matrix(mat, size)
-    one = {(t, t): ONE for t in range(size)}
+    one = {t: {t: ONE} for t in range(size)}
     assert got == want
     assert mat_mul(mat, got) == one and mat_mul(got, mat) == one
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_nullspace_is_zero_free_and_orthogonal_to_every_row(system):
+    # a basis vector holds ONE at its free column and -c at the pivots, c a
+    # stored, zero-free echelon entry; the rows include dependent ones, and
+    # column 5 meets no row
+    cols, target = system
+    rows, columns = cols + [target], range(6)
+    basis = nullspace(rows, columns)
+    rank, span = LoopEchelon(), LoopEchelon()
+    rank.extend(rows)
+    span.extend(basis)
+    assert len(basis) == len(columns) - len(rank) == len(span)
+    for v in basis:
+        assert v and all(v.values()) and set(v) <= set(columns)
+        for row in rows:
+            assert not sum((c * v[k] for k, c in row.items() if k in v), ZERO)
+
+
+def _dense(mat):
+    """The 5 x 5 list of rows of a matrix over the keys 0..4."""
+    rows = [[ZERO] * 5 for _ in range(5)]
+    for c, col in mat.items():
+        for r, x in col.items():
+            rows[r][c] = x
+    return rows
+
+
+def loop_mat_vec(mat, v):
+    a = _dense(mat)
+    out = {}
+    for r in range(5):
+        s = ZERO
+        for c, x in v.items():
+            s = s + a[r][c] * x
+        if not s.is_zero():
+            out[r] = s
+    return out
+
+
+def loop_mat_mul(m1, m2):
+    a, b = _dense(m1), _dense(m2)
+    out = {}
+    for c in range(5):
+        for r in range(5):
+            s = ZERO
+            for k in range(5):
+                s = s + a[r][k] * b[k][c]
+            if not s.is_zero():
+                out.setdefault(c, {})[r] = s
+    return out
+
+
+@st.composite
+def _products(draw):
+    """(m1, m2) over the keys 0..4, column 4 of m1 x times its column 3.  A
+    column of m2 drawn with x t at key 3 and -t at key 4 adds nothing to
+    its product, so entries and whole columns of m1 m2 cancel."""
+    cols = draw(st.lists(_sparse, min_size=4, max_size=4))
+    x = draw(_entries)
+    cols.append(vec_scale(cols[3], x))
+    m1 = {c: col for c, col in enumerate(cols) if col}
+    m2 = {}
+    for c in range(5):
+        col = draw(_sparse)
+        if draw(st.booleans()):
+            t = draw(_entries)
+            col = vec_add(col, {3: x * t, 4: -t})
+        if col:
+            m2[c] = col
+    return m1, m2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_products())
+@example(({3: {0: ONE}, 4: {0: qpow(1)}}, {0: {3: qpow(1), 4: -ONE}}))
+def test_mat_vec_and_mat_mul_match_the_loop_reference(mats):
+    m1, m2 = mats
+    for v in [{}, *m2.values()]:
+        got = mat_vec(m1, v)
+        assert got == loop_mat_vec(m1, v)
+        assert all(got.values())
+    got = mat_mul(m1, m2)
+    assert got == loop_mat_mul(m1, m2)
+    assert all(col and all(col.values()) for col in got.values())
 
 
 def test_solve_and_invert_on_singular_systems():

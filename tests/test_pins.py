@@ -1,9 +1,10 @@
 """The benchmark's pinned report hashes, checked in Tier-1.
 
-Runs the desk config and the seed-0 dd-chain and ideal-slices configs through
-`cli.main` and compares each report's sha256 with `perfbench/pinned.json`, so
-a change that alters report bytes fails here and not only in the benchmark.
-One frontier case, outside the benchmark, is pinned here as well.
+Runs every config whose report `perfbench/pinned.json` pins, the desk config
+and each word of the dd-chain and ideal-slices pools, through `cli.main` and
+compares each report's sha256 with its pin, so a change that alters report
+bytes fails here and not only in the benchmark.  One frontier case, outside
+the benchmark, is pinned here as well.
 """
 
 import hashlib
@@ -23,14 +24,16 @@ import workloads  # noqa: E402
 PINS = json.loads((PERFBENCH / "pinned.json").read_text())["reports"]
 
 
-@pytest.mark.parametrize("workload, key", [
-    ("desk", "desk"),
-    ("dd-chain", "dd-chain:3,2,1,3,2,1,3,2,1"),
-    ("ideal-slices", "ideal-slices:1,2,1,3,2,1"),
-])
+@pytest.mark.parametrize("workload, key", [(key.split(":")[0], key) for key in sorted(PINS)])
 def test_seed_zero_report_matches_its_pin(tmp_path, workload, key):
+    # seed 0 runs desk.cfg and the first word of each pool; the other words
+    # of a pool, which other seeds draw, run the same single-word config
+    if workload == "desk":
+        text = workloads.config_text(workload, 0, PERFBENCH.parent)
+    else:
+        text = workloads.word_config(workload, key.split(":")[1].split(","))
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(workloads.config_text(workload, 0, PERFBENCH.parent))
+    cfg.write_text(text)
     out = tmp_path / "r.json"
     assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[key]
